@@ -19,20 +19,10 @@ Per-step ``kv_copy_bytes`` / ``kv_dequant_bytes`` (from
 ``repro.llm.attention.HOT_PATH_STATS``) are recorded alongside latency:
 the reference bytes grow with context, the optimized bytes stay flat.
 
-A second, scaled-up scenario measures **grouped batched attention**
-(``--grouped-batch 32`` requests at ``--grouped-seq 2048`` context):
-per-request decode vs ``BucketedAttention`` dispatch on the same
-optimized storage.  The gated quantity is structural, not a wall-clock
-ratio: attention pipeline launches per step drop from
-``layers x batch`` to ``layers x buckets`` (``ATTENTION_STATS``
-deltas), with the two variants' logits again bitwise identical.
-
 Results land in ``BENCH_decode_hotpath.json``;
 ``benchmarks/check_bench_regression.py --decode-hotpath`` gates the
-speedups and dispatch counts against
-``benchmarks/baselines/decode_hotpath.json`` in CI so future PRs
-cannot silently reintroduce O(history) copies — or O(batch) attention
-dispatches — per step.
+speedups against ``benchmarks/baselines/decode_hotpath.json`` in CI so
+future PRs cannot silently reintroduce O(history) copies per step.
 
 Usage::
 
@@ -65,7 +55,6 @@ from repro.llm.attention import (  # noqa: E402
     ATTENTION_STATS,
     HOT_PATH_STATS,
     AttentionDispatchStats,
-    BucketedAttention,
     KVHotPathStats,
     ReferenceKVCache,
     stats_scope,
@@ -89,20 +78,6 @@ STEPS_DEFAULT = 16
 STEPS_SMOKE = 8
 WARMUP_STEPS = 2
 
-#: Grouped-attention scenario: the scale the O(batch) -> O(buckets)
-#: dispatch reduction is stated at.
-GROUPED_BATCH = 32
-GROUPED_SEQ = 2048
-GROUPED_STEPS_DEFAULT = 8
-GROUPED_STEPS_SMOKE = 4
-#: One cell per storage backend (fp16 unpaged + anda paged) bounds the
-#: scenario's cost while still covering both view() implementations.
-GROUPED_CELLS = (("fp16", False), ("anda", True))
-#: Prompt positions per prefill call while building the scenario's
-#: caches: chunking keeps the O(L^2) mask/score intermediates bounded
-#: (a monolithic 2048-position prefill is ~4x slower here).
-PREFILL_CHUNK = 512
-
 
 class _ReferencePagedKVCache(PagedKVCache):
     """Paged cache whose reads use the pre-optimization block-loop gather."""
@@ -113,18 +88,17 @@ class _ReferencePagedKVCache(PagedKVCache):
         return self._sequence.gather_reference(self._layer, self._length)
 
 
-def build_bench_model(max_seq_len: int = 1024) -> CausalLM:
+def build_bench_model() -> CausalLM:
     """A small LLaMA-style model with headroom for long contexts.
 
     ``d_model=128`` with 2 heads gives ``head_dim=64`` — the Anda
     group size and the hardware word the rest of the stack models —
     so the anda codec runs its unpadded fast path, as it would on a
-    real serving geometry.  The grouped scenario passes a larger
-    ``max_seq_len`` for its 2k contexts.
+    real serving geometry.
     """
     config = replace(
         tiny_test_config(family="llama", d_model=128, n_layers=2, seed=7),
-        max_seq_len=max_seq_len,
+        max_seq_len=1024,
     )
     return build_model(config)
 
@@ -136,7 +110,6 @@ def build_request_caches(
     reference: bool,
     prompts: np.ndarray,
     decode_steps: int,
-    prefill_chunk: int | None = None,
 ) -> list[list]:
     """Per-request per-layer caches, prefilled with each request's prompt."""
     batch, seq_len = prompts.shape
@@ -165,12 +138,7 @@ def build_request_caches(
         factory = make_cache_factory(model, kv_mode, MANTISSA_BITS)
         all_caches = [factory() for _ in prompts]
     for prompt, caches in zip(prompts, all_caches):
-        row = prompt.reshape(1, -1)
-        if prefill_chunk is None:
-            model.forward_step(row, caches)
-        else:
-            for start in range(0, row.shape[1], prefill_chunk):
-                model.forward_step(row[:, start : start + prefill_chunk], caches)
+        model.forward_step(prompt.reshape(1, -1), caches)
     return all_caches
 
 
@@ -178,7 +146,6 @@ def run_decode(
     model: CausalLM,
     all_caches: list[list],
     token_rows: list[np.ndarray],
-    dispatcher: BucketedAttention | None = None,
 ) -> tuple[list[np.ndarray], float, tuple[int, int], int]:
     """Run scripted decode steps; time and meter the post-warmup window.
 
@@ -194,7 +161,7 @@ def run_decode(
             copy0, dequant0 = HOT_PATH_STATS.snapshot()
             dispatch0 = ATTENTION_STATS.dispatches
             started = time.perf_counter()
-        logits = model.forward_decode_batch(tokens, all_caches, dispatcher=dispatcher)
+        logits = model.forward_decode_batch(tokens, all_caches)
         if step >= WARMUP_STEPS:
             elapsed = time.perf_counter() - started
         logits_per_step.append(logits)
@@ -270,93 +237,6 @@ def bench_cell(
     }
 
 
-def bench_grouped_cell(
-    model: CausalLM,
-    kv_mode: str,
-    paged: bool,
-    seq_len: int,
-    batch: int,
-    steps: int,
-    repeats: int = 1,
-    pad_waste_cap: float = 0.125,
-) -> dict:
-    """Per-request vs grouped attention dispatch for one scaled-up cell.
-
-    Both variants run the *optimized* storage; what changes is the
-    attention dispatch shape: ``layers x batch`` per-request core calls
-    vs ``layers x buckets`` bucket launches.  The scripted decode is
-    deterministic and the bench prompts share one context length, so
-    the planner resolves to a known bucket count
-    (``planned_buckets``) the regression gate can check structurally —
-    and the two variants' logits must stay bitwise identical, which is
-    the grouped path's whole contract.
-    """
-    rng = np.random.default_rng(23 * seq_len + (29 if paged else 0))
-    vocab = model.config.vocab_size
-    prompts = rng.integers(0, vocab, size=(batch, seq_len))
-    total_steps = WARMUP_STEPS + steps
-    token_rows = [rng.integers(0, vocab, size=(batch, 1)) for _ in range(total_steps)]
-
-    outputs = {}
-    for label, grouped in (("per_request", False), ("grouped", True)):
-        best = None
-        for _ in range(repeats):
-            # Fresh dispatcher per repeat: its workspaces are keyed on
-            # the (fresh) caches' uids, so reuse would only hold dead
-            # entries.
-            dispatcher = BucketedAttention(pad_waste_cap) if grouped else None
-            all_caches = build_request_caches(
-                model,
-                kv_mode,
-                paged,
-                False,
-                prompts,
-                total_steps,
-                prefill_chunk=PREFILL_CHUNK,
-            )
-            logits, seconds, _, dispatches = run_decode(
-                model, all_caches, token_rows, dispatcher=dispatcher
-            )
-            if best is not None and not all(
-                np.array_equal(a, b) for a, b in zip(best[0], logits)
-            ):
-                raise AssertionError(f"{label} decode is not deterministic")
-            if best is None or seconds < best[1]:
-                best = (logits, seconds, dispatches)
-        outputs[label] = best
-
-    request_logits, request_seconds, request_dispatches = outputs["per_request"]
-    grouped_logits, grouped_seconds, grouped_dispatches = outputs["grouped"]
-    parity = all(
-        a.tobytes() == b.tobytes() for a, b in zip(request_logits, grouped_logits)
-    )
-    # Every timed step decodes the same batch at uniform lengths, so the
-    # dispatch deltas divide evenly; a remainder would mean a stray
-    # attention launch leaked into the window.
-    if request_dispatches % steps or grouped_dispatches % steps:
-        raise AssertionError("attention dispatches not uniform across timed steps")
-    planned = BucketedAttention(pad_waste_cap).plan(
-        [seq_len + WARMUP_STEPS + 1] * batch
-    )
-    return {
-        "kv_mode": kv_mode,
-        "paged": paged,
-        "seq_len": seq_len,
-        "batch_size": batch,
-        "decode_steps": steps,
-        "n_layers": model.config.n_layers,
-        "ms_per_step_per_request": request_seconds / steps * 1e3,
-        "ms_per_step_grouped": grouped_seconds / steps * 1e3,
-        "grouped_speedup": (
-            request_seconds / grouped_seconds if grouped_seconds > 0 else float("inf")
-        ),
-        "attention_dispatches_per_step_per_request": request_dispatches // steps,
-        "attention_dispatches_per_step_grouped": grouped_dispatches // steps,
-        "planned_buckets": planned.num_buckets,
-        "parity": bool(parity),
-    }
-
-
 def bench_codec_cell(
     model: CausalLM,
     seq_len: int,
@@ -366,8 +246,8 @@ def bench_codec_cell(
 ) -> dict:
     """Vectorized vs reference Anda codec on the decode hot-path shape.
 
-    Times exactly the tensor the batched decode path compresses once
-    per layer per step — the stacked K+V single-position batch,
+    Times the rows the flat forward lane compresses once per layer of
+    a decode step — the stacked K+V single-position batch,
     ``(2 x batch, heads, 1, head_dim)`` — through the vectorized
     truncate-mode pipeline and through the pre-vectorization
     field-decomposition reference, over ``n_layers`` calls per step.
@@ -587,24 +467,6 @@ def main(argv: list[str] | None = None) -> int:
         "gated ratio rides on the minima)",
     )
     parser.add_argument(
-        "--grouped-batch",
-        type=int,
-        default=GROUPED_BATCH,
-        help="grouped-attention scenario batch size (0 skips the scenario)",
-    )
-    parser.add_argument(
-        "--grouped-seq",
-        type=int,
-        default=GROUPED_SEQ,
-        help="grouped-attention scenario context length",
-    )
-    parser.add_argument(
-        "--grouped-steps",
-        type=int,
-        default=None,
-        help="timed decode steps per grouped cell",
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=Path("BENCH_decode_hotpath.json"),
@@ -617,13 +479,6 @@ def main(argv: list[str] | None = None) -> int:
         seq_lens = SEQ_LENS_SMOKE if args.smoke else SEQ_LENS_DEFAULT
     steps = args.steps or (STEPS_SMOKE if args.smoke else STEPS_DEFAULT)
     repeats = args.repeats or (5 if args.smoke else 3)
-    grouped_steps = args.grouped_steps or (
-        GROUPED_STEPS_SMOKE if args.smoke else GROUPED_STEPS_DEFAULT
-    )
-    # The grouped scenario's gated metrics (dispatch counts, parity) are
-    # deterministic, so it affords fewer repeats than the timing-gated
-    # base cells; its wall-clock columns are informational.
-    grouped_repeats = 1 if args.smoke else 2
 
     model = build_bench_model()
     results = []
@@ -644,35 +499,6 @@ def main(argv: list[str] | None = None) -> int:
                 if not row["parity"]:
                     print("FAIL decode logits diverged from the reference storage")
                     return 1
-
-    grouped_results = []
-    if args.grouped_batch > 0:
-        grouped_model = build_bench_model(
-            max_seq_len=args.grouped_seq + WARMUP_STEPS + grouped_steps + 1
-        )
-        for kv_mode, paged in GROUPED_CELLS:
-            row = bench_grouped_cell(
-                grouped_model,
-                kv_mode,
-                paged,
-                args.grouped_seq,
-                args.grouped_batch,
-                grouped_steps,
-                grouped_repeats,
-            )
-            grouped_results.append(row)
-            storage = "paged" if paged else "unpaged"
-            print(
-                f"grouped seq={args.grouped_seq:4d} batch={args.grouped_batch:2d} "
-                f"kv={kv_mode:5s} {storage:7s}: "
-                f"{row['attention_dispatches_per_step_per_request']:3d} -> "
-                f"{row['attention_dispatches_per_step_grouped']:3d} dispatches/step "
-                f"({row['planned_buckets']} buckets, "
-                f"{row['grouped_speedup']:.2f}x, parity={row['parity']})"
-            )
-            if not row["parity"]:
-                print("FAIL grouped decode logits diverged from per-request")
-                return 1
 
     # Codec scenario at the acceptance context (the largest measured
     # seq len, 512 by default): vectorized-vs-reference speedup with
@@ -720,9 +546,6 @@ def main(argv: list[str] | None = None) -> int:
         "batch_size": args.batch,
         "mantissa_bits": MANTISSA_BITS,
         "results": results,
-        "grouped_batch": args.grouped_batch,
-        "grouped_seq": args.grouped_seq,
-        "grouped_results": grouped_results,
         "codec": codec,
         "telemetry_overhead": telemetry_overhead,
     }

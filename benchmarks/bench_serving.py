@@ -551,12 +551,12 @@ def bench_chaos(model, num_requests, max_new_tokens, kv_mode, bits):
 
 
 def bench_traced(model, trace_path, kv_mode, bits):
-    """Traced mixed workload: chunked prefill + grouped decode + abort.
+    """Traced mixed workload: chunked prefill + batched decode + abort.
 
-    Runs a small grouped-attention engine with tracing enabled over a
-    workload that exercises every span family (prefill chunks, decode
-    batches, per-bucket attention, sampling, lifecycle transitions
-    including an abort), writes the Chrome trace-event JSON to
+    Runs a small engine with tracing enabled over a workload that
+    exercises every span family (forward passes over prefill chunks and
+    decode rows, sampling, lifecycle transitions including an abort),
+    writes the Chrome trace-event JSON to
     ``trace_path`` (load it at https://ui.perfetto.dev), and validates
     the emitted file against the trace-event schema — a structural
     failure exits non-zero so CI catches a malformed exporter.

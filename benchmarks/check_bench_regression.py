@@ -34,15 +34,6 @@ bar), and each baselined cell's reference/optimized ratio — again a
 machine-normalized, in-process ratio — must stay inside the tolerance
 band of ``benchmarks/baselines/decode_hotpath.json``.
 
-The same file's ``grouped_results`` rows gate the grouped-attention
-dispatcher: every grouped cell must report bitwise parity against the
-per-request path, its dispatch counts must be *structurally* correct —
-exactly ``n_layers x planned_buckets`` launches per grouped step and
-``n_layers x batch_size`` per per-request step, with grouped strictly
-below per-request (the O(batch) -> O(buckets) claim, checked by
-counting, not timing) — and its grouped/per-request step-latency
-speedup must stay inside the baseline band.
-
 The same file's ``telemetry_overhead`` section gates the serving
 telemetry subsystem structurally: decoding inside the engine's
 disabled-telemetry ``stats_scope`` must cost <= 2% step latency over
@@ -306,93 +297,6 @@ def check_decode_speedups(
     return lines
 
 
-def grouped_cells(results: dict) -> dict[str, dict]:
-    """'kv|storage' -> grouped-attention scenario row."""
-    cells = {}
-    for row in results.get("grouped_results", []):
-        storage = "paged" if row["paged"] else "unpaged"
-        cells[f"{row['kv_mode']}|{storage}"] = row
-    return cells
-
-
-def check_grouped_attention(results: dict) -> list[str]:
-    """Structural gates on the grouped-attention scenario.
-
-    Three claims, all checkable without a baseline: the grouped path
-    emits bitwise-identical logits, each grouped step launches exactly
-    ``n_layers x planned_buckets`` attention dispatches (the per-request
-    path exactly ``n_layers x batch_size``), and grouped launches
-    strictly fewer — the O(batch) -> O(buckets) reduction verified by
-    counting dispatches, which no runner lottery can fake.
-    """
-    cells = grouped_cells(results)
-    if not cells:
-        raise CheckFailure(
-            "no grouped_results in the decode hot-path output; run "
-            "bench_decode_hotpath.py without --grouped-batch 0"
-        )
-    lines = []
-    for name, row in sorted(cells.items()):
-        if not row.get("parity"):
-            raise CheckFailure(
-                f"grouped attention lost bitwise parity with the "
-                f"per-request path at {name}"
-            )
-        grouped = row["attention_dispatches_per_step_grouped"]
-        per_request = row["attention_dispatches_per_step_per_request"]
-        expected_grouped = row["n_layers"] * row["planned_buckets"]
-        expected_per_request = row["n_layers"] * row["batch_size"]
-        if grouped != expected_grouped:
-            raise CheckFailure(
-                f"grouped dispatch count is not O(layers x buckets) at "
-                f"{name}: {grouped} dispatches/step != {row['n_layers']} "
-                f"layers x {row['planned_buckets']} buckets"
-            )
-        if per_request != expected_per_request:
-            raise CheckFailure(
-                f"per-request dispatch count is not O(layers x batch) at "
-                f"{name}: {per_request} dispatches/step != "
-                f"{row['n_layers']} layers x {row['batch_size']} requests"
-            )
-        if grouped >= per_request:
-            raise CheckFailure(
-                f"grouped attention launches no fewer dispatches than the "
-                f"per-request path at {name}: {grouped} >= {per_request} "
-                "per step"
-            )
-        lines.append(
-            f"ok   grouped dispatches ({name}): {per_request} -> "
-            f"{grouped}/step ({row['planned_buckets']} buckets, "
-            f"batch {row['batch_size']})"
-        )
-    return lines
-
-
-def check_grouped_speedups(
-    results: dict, baseline: dict, tolerance: float
-) -> list[str]:
-    """Grouped/per-request step-latency ratio vs the baseline band."""
-    cells = grouped_cells(results)
-    lines = []
-    for name, base in baseline.get("grouped_speedup", {}).items():
-        row = cells.get(name)
-        if row is None:
-            raise CheckFailure(
-                f"baseline expects a grouped-attention cell {name}, none "
-                "in the benchmark output"
-            )
-        floor = base * (1.0 - tolerance)
-        actual = row["grouped_speedup"]
-        if actual < floor:
-            raise CheckFailure(
-                f"grouped attention regression at {name}: speedup "
-                f"{actual:.2f}x < {floor:.2f}x (baseline {base:.2f}x "
-                f"- {tolerance:.0%})"
-            )
-        lines.append(f"ok   grouped speedup ({name}): {actual:.2f}x >= {floor:.2f}x")
-    return lines
-
-
 def check_codec_vectorization(
     results: dict, baseline: dict, tolerance: float
 ) -> list[str]:
@@ -525,17 +429,13 @@ def main(argv: list[str] | None = None) -> int:
             decode_baseline = load_json(Path(args.decode_baseline))
             require_baseline_keys(
                 decode_baseline,
-                ("speedup", "grouped_speedup", "codec_speedup"),
+                ("speedup", "codec_speedup"),
                 args.decode_baseline,
             )
             report.extend(check_decode_parity(decode_results))
             report.extend(check_decode_floor(decode_results))
             report.extend(
                 check_decode_speedups(decode_results, decode_baseline, args.tolerance)
-            )
-            report.extend(check_grouped_attention(decode_results))
-            report.extend(
-                check_grouped_speedups(decode_results, decode_baseline, args.tolerance)
             )
             report.extend(
                 check_codec_vectorization(

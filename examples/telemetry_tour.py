@@ -5,8 +5,8 @@ The serving telemetry subsystem (``repro.serve.telemetry``) adds three
 instruments to every engine, toured here over one mixed workload:
 
 1. **step tracing** — ``TelemetryConfig(trace=True)`` records every
-   phase of every engine step (schedule, chunked-prefill lane, decode
-   batch, per-bucket grouped attention, KV codec, sampling) plus each
+   phase of every engine step (schedule, the flat forward pass over
+   prompt chunks and decode rows, KV codec, sampling) plus each
    request's lifecycle transitions (QUEUED -> PREFILLING -> RUNNING ->
    FINISHED / ABORTED) as spans and instants;
 2. **Chrome trace export** — the recorded spans serialize to a

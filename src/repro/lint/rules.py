@@ -765,15 +765,16 @@ class NoImportCycles(Rule):
 class MatmulsRouteThroughAttention(Rule):
     code = "RPL010"
     title = "no raw matmuls in serve/ (lane discipline)"
-    rationale = "decode-shaped GeMMs must go through BucketedAttention/_attention_core so the bitwise M=1 vs M>=2 OpenBLAS lane split is preserved"
-    invariant = "PR 6 lane discipline: serve/README.md 'Grouped attention' (bitwise kernel-lane contract)"
+    rationale = "GeMMs must go through _attention_core or the row-GeMM helper (repro.llm.layers.row_gemm) so every row stays bitwise independent of OpenBLAS's kernel choice (M=1 GeMV, small-matrix vs K-blocked GeMM)"
+    invariant = "lane discipline: serve/README.md 'One forward lane' (bitwise row-GeMM contract)"
     explain = (
         "src/repro/serve orchestrates; repro.llm.attention computes.  A raw\n"
         "@ / np.matmul / np.dot / np.einsum on decode-shaped operands inside\n"
         "serve/ would pick OpenBLAS kernels by shape, silently crossing the\n"
         "M=1 (GeMV) vs M>=2 (GeMM) lane boundary that PR 6 pinned bitwise.\n"
-        "All attention math must flow through BucketedAttention /\n"
-        "_attention_core, where lane selection is explicit and parity-tested."
+        "All attention math must flow through _attention_core and every dense\n"
+        "GeMM through the row-GeMM helper (row_gemm), where the kernel lane is\n"
+        "explicit and parity-tested."
     )
 
     def check(self, index: ModuleIndex) -> list[Finding]:
@@ -794,7 +795,7 @@ class MatmulsRouteThroughAttention(Rule):
                             module,
                             node,
                             f"raw matmul via {spelled} in serve/ (route through "
-                            "BucketedAttention / _attention_core)",
+                            "_attention_core / row_gemm)",
                             qual,
                         )
                     )

@@ -6,13 +6,16 @@ projection.  LLaMA-family models apply rotary position embeddings to
 queries and keys; OPT-family models rely on the model's learned position
 embeddings instead.
 
-Two forward paths are provided:
+Three forward paths are provided:
 
 * :meth:`MultiHeadAttention.__call__` — autograd path used for training
   and whole-sequence (prefill) evaluation.
 * :meth:`MultiHeadAttention.step` — plain-numpy incremental path with a
   KV cache, used by :mod:`repro.llm.generation` (the paper keeps the KV
   cache in FP16; so does this model).
+* :meth:`MultiHeadAttention.step_mixed` — the serving engine's flat
+  lane: many requests' new tokens packed into one pass, attention per
+  request.  Its rows are bitwise equal to :meth:`step`'s.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.errors import ModelError
 from repro.llm.autograd import Tensor, concat, softmax
 from repro.llm.config import ModelConfig
 from repro.llm.hooks import ActivationTap
-from repro.llm.layers import Linear, Module
+from repro.llm.layers import Linear, Module, row_gemm
 
 #: Additive mask value for future positions (large enough to zero the
 #: softmax in float32 without producing NaN through inf - inf).
@@ -58,8 +61,9 @@ class KVHotPathStats:
       reference implementations' per-append concatenates.  Amortized
       O(1) per token for the preallocated path; O(history) per step
       for the reference path.
-    * ``dequant_bytes`` — bytes materialized float16 -> float32 for
-      attention reads.  Incremental views convert only the tail
+    * ``dequant_bytes`` — bytes dequantized from float16 for attention
+      reads, counted at float32 width for keys and values alike (the
+      values twin is float64).  Incremental views convert only the tail
       appended since the last step; the reference path re-converts the
       whole history every layer every step.
 
@@ -85,39 +89,25 @@ HOT_PATH_STATS = KVHotPathStats()
 
 @dataclass
 class AttentionDispatchStats:
-    """Process-wide counters of attention kernel launches.
+    """Process-wide counter of attention kernel launches.
 
     ``dispatches`` counts attention-pipeline launches: one per
-    :meth:`MultiHeadAttention._attention_core` call (the per-request
-    oracle — prefill segments and ungrouped decode both land here) plus
-    one per multi-request bucket run by :class:`BucketedAttention`.
-    The per-request decode path costs ``layers x batch`` dispatches per
-    step; the grouped path costs ``layers x buckets`` — that ratio is
-    the structural win the decode hot-path benchmark gates.
+    :meth:`MultiHeadAttention._attention_core` call, i.e. one per
+    (layer, segment) of a forward pass — a decode row and a prompt
+    chunk each count once.
 
-    ``grouped_requests`` counts requests served through a multi-request
-    bucket (a measure of how much of the batch the planner managed to
-    group), and ``padded_slots`` counts wasted key positions scored in
-    padded buckets (``sum(bucket_len - request_len)`` — what the
-    pad-waste cap bounds, and what :func:`repro.hw.traffic.
-    decode_step_traffic` charges as padded reads).
-
-    The engine snapshots these around each step and reports the deltas
-    (``StepReport.attention_dispatches`` etc.), mirroring
+    The engine snapshots it around each step and reports the delta
+    (``StepReport.attention_dispatches``), mirroring
     :class:`KVHotPathStats`.
     """
 
     dispatches: int = 0
-    grouped_requests: int = 0
-    padded_slots: int = 0
 
-    def snapshot(self) -> tuple[int, int, int]:
-        return (self.dispatches, self.grouped_requests, self.padded_slots)
+    def snapshot(self) -> tuple[int]:
+        return (self.dispatches,)
 
     def reset(self) -> None:
         self.dispatches = 0
-        self.grouped_requests = 0
-        self.padded_slots = 0
 
 
 #: The process-wide instance every attention path reports into.
@@ -129,7 +119,7 @@ class StatScope:
     """Where hot-path counters (and optional trace spans) are routed.
 
     Every increment site on the decode hot path — buffer growth,
-    dequant views, bucket dispatches, the paged gather — reports into
+    dequant views, attention dispatches, the paged gather — reports into
     the *active* scope instead of naming the module globals directly.
     The default scope wraps :data:`HOT_PATH_STATS` /
     :data:`ATTENTION_STATS` (tracer ``None``), so direct model calls
@@ -190,8 +180,8 @@ def grow_buffer(
     """Allocate a larger cache buffer, carrying over its logical prefix.
 
     The one growth implementation shared by every capacity-doubling
-    buffer on the hot path — float16 storage, float32 dequant views,
-    and the paged gather scratch — so the prefix-copy slicing and the
+    buffer on the hot path — float16 storage, dequant views, and the
+    paged gather scratch — so the prefix-copy slicing and the
     ``copy_bytes`` accounting cannot drift apart between them.
 
     Args:
@@ -283,15 +273,16 @@ _CONTEXT_SCRATCH_CAP = 8
 def _context_scratch(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     """Reusable attention-context buffer for one step shape.
 
-    ``step_batch`` / ``step_mixed`` previously concatenated per-request
-    context slices into a fresh array every layer; writing the slices
+    :meth:`MultiHeadAttention.step_mixed` writes each segment's context
+    slice into a per-shape scratch instead of concatenating the slices
+    into a fresh array every layer; writing the slices
     into a per-shape scratch reuses one allocation across all layers of
     a step (the downstream transpose+reshape copies out of it before
     the next layer runs).  The dtype is the attention core's own output
     dtype — the scores pipeline runs in float64 (the float64 ``scale``
     scalar promotes it), and storing the context any narrower would
     round it before the output projection, breaking bitwise parity
-    with the unbatched ``step`` path.
+    with the single-request ``step`` path.
     """
     key = (shape, dtype)
     scratch = _CONTEXT_SCRATCH.get(key)
@@ -405,9 +396,6 @@ def _rotate_half_np(x: np.ndarray) -> np.ndarray:
 #: every one of the first appends.
 _INITIAL_CAPACITY = 16
 
-#: Monotonic id source for cache identity (see :attr:`KVCache.uid`).
-_CACHE_UID_COUNTER = itertools.count()
-
 
 class KVCache:
     """Per-layer key/value history for incremental decoding (FP16).
@@ -415,16 +403,16 @@ class KVCache:
     Two subclass seams keep every cache variant on one append path:
 
     * **compression** — :meth:`compress` (a row-local transform applied
-      on write) and :meth:`compression_key`; the batched decode path
-      uses those to compress a whole batch's K/V in one call and then
-      append per request via :meth:`append_precompressed`.
+      on write) and :meth:`compression_key`; the flat forward lane uses
+      those to compress a whole step's K/V in one call per key and then
+      append per segment via :meth:`append_precompressed`.
     * **storage** — :meth:`_store` (persist float16 rows) and
-      :meth:`view` (return the full float32 history).  The paged
-      subclass (:class:`repro.serve.kvpool.paged.PagedKVCache`)
-      scatters rows into pool blocks on write and gathers the
-      non-contiguous blocks on read.  Because both store the same
-      float16 bytes, the two are bitwise interchangeable under
-      ``step`` / ``step_batch``.
+      :meth:`view` (return the full history: float32 keys, float64
+      values).  The paged subclass
+      (:class:`repro.serve.kvpool.paged.PagedKVCache`) scatters rows
+      into pool blocks on write and gathers the non-contiguous blocks
+      on read.  Because both store the same float16 bytes, the two are
+      bitwise interchangeable under ``step`` / ``step_mixed``.
 
     Storage here is the decode hot path, so per-step cost must be
     proportional to *new* tokens, not history length:
@@ -432,16 +420,20 @@ class KVCache:
     * float16 rows land in preallocated, capacity-doubling buffers
       with a logical length (``_len``) — appending a token is one row
       write, and buffer-growth copies amortize to O(1) per token;
-    * :meth:`view` keeps a memoized float32 twin of the storage and
-      dequantizes only the tail appended since the last call,
-      returning zero-copy slices of it.  The memo is invalidated if
-      :meth:`compression_key` ever changes (defensive — compression is
-      applied at write time, so stored bytes never change under it).
+    * :meth:`view` keeps a memoized dequantized twin of the storage
+      and converts only the tail appended since the last call,
+      returning zero-copy slices of it.  Keys are float32 (the scores
+      matmul runs in float32); values are float64, the dtype the
+      float64 ``weights @ values`` context matmul promotes them to
+      anyway, so the twin saves that O(history) cast per call.  The
+      memo is invalidated if :meth:`compression_key` ever changes
+      (defensive — compression is applied at write time, so stored
+      bytes never change under it).
 
     Both choices are bitwise-invisible: stored float16 bytes are
-    identical to the old concatenate storage, float16 -> float32
-    conversion is exact, and numpy matmuls buffer strided views to
-    contiguous memory before BLAS sees them.
+    identical to the old concatenate storage, float16 -> float32 ->
+    float64 conversion is exact, and numpy matmuls buffer strided views
+    to contiguous memory before BLAS sees them.
     :class:`ReferenceKVCache` keeps the O(history)-per-step storage
     alive as the parity oracle the growth property tests and the
     decode hot-path benchmark compare against.
@@ -455,7 +447,6 @@ class KVCache:
         "_deq_v",
         "_deq_len",
         "_deq_key",
-        "_uid",
     )
 
     def __init__(self) -> None:
@@ -466,19 +457,6 @@ class KVCache:
         self._deq_v: np.ndarray | None = None
         self._deq_len = 0
         self._deq_key: tuple | None = None
-        self._uid = next(_CACHE_UID_COUNTER)
-
-    @property
-    def uid(self) -> int:
-        """Process-unique cache identity, stable for the cache's lifetime.
-
-        :class:`BucketedAttention` keys its per-bucket gather
-        workspaces on member uid tuples, so a workspace is reused (and
-        synced incrementally) exactly as long as the same cache objects
-        stay grouped together, and can never be confused with a new
-        cache that reuses the same memory address.
-        """
-        return self._uid
 
     def compress(self, tensor: np.ndarray) -> np.ndarray:
         """Write-side transform; must be row-local along leading axes."""
@@ -531,11 +509,14 @@ class KVCache:
         self._len = end
 
     def view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full cached history as float32 ``(batch, heads, time, hd)``.
+        """Full cached history ``(batch, heads, time, hd)``.
+
+        Keys come back float32 and values float64 (see the class
+        docstring).
 
         Memoized: only positions appended since the last call are
         converted; the returned arrays are read-mostly slices of the
-        persistent float32 buffers (valid until the next append forces
+        persistent buffers (valid until the next append forces
         a growth reallocation, i.e. for the current layer step).
         """
         if self._len == 0 or self._k16 is None:
@@ -548,7 +529,7 @@ class KVCache:
         if self._deq_k is None or self._deq_k.shape[2] != capacity:
             shape = tuple(self._k16.shape)
             self._deq_k = grow_buffer(self._deq_k, shape, 2, self._deq_len, np.float32)
-            self._deq_v = grow_buffer(self._deq_v, shape, 2, self._deq_len, np.float32)
+            self._deq_v = grow_buffer(self._deq_v, shape, 2, self._deq_len, np.float64)
         if self._deq_len < self._len:
             tail = slice(self._deq_len, self._len)
             self._deq_k[:, :, tail] = self._k16[:, :, tail]
@@ -575,7 +556,7 @@ class KVCache:
 
         The engine's batch-level fault rollback: positions beyond
         ``length`` are logically dropped (the preallocated buffers keep
-        their capacity) and the float32 memo is clamped so the next
+        their capacity) and the dequant memo is clamped so the next
         :meth:`view` re-dequantizes nothing stale.  Re-appending the
         same rows afterwards reproduces the pre-truncation bytes
         exactly.
@@ -636,8 +617,8 @@ class ReferenceKVCache(KVCache):
         if self._ref_k is None:
             raise ModelError("view() on an empty KV cache")
         keys = self._ref_k.astype(np.float32)
-        values = self._ref_v.astype(np.float32)
-        _ACTIVE_SCOPE.get().hot.dequant_bytes += keys.nbytes + values.nbytes
+        values = self._ref_v.astype(np.float64)
+        _ACTIVE_SCOPE.get().hot.dequant_bytes += 2 * keys.nbytes
         return keys, values
 
     @property
@@ -656,367 +637,6 @@ class ReferenceKVCache(KVCache):
             else:
                 self._ref_k = self._ref_k[:, :, :length]
                 self._ref_v = self._ref_v[:, :, :length]
-
-
-# -- grouped batched attention ------------------------------------------------
-#
-# PackInfer-style KV-length bucketing for the decode lane: instead of
-# one attention pipeline launch per (layer, request), requests whose
-# histories share a KV length run as one batched launch per
-# (layer, bucket).  Bitwise discipline mirrors the chunked-prefill lane
-# rules: stacked numpy matmuls apply BLAS per leading-axis slice, so a
-# fully batched exact-length bucket reproduces the per-request bits,
-# while a bucket of size 1 stays on the M == 1 kernel path through
-# ``_attention_core`` itself.  Padded buckets never feed padded
-# operands to a matmul (BLAS edge kernels change bits when the reduced
-# or written extent changes): per-member exact-length matmuls write
-# into a shared padded scores workspace whose pad tail is MASK_VALUE,
-# and only the alignment-insensitive elementwise softmax middle runs
-# batched.
-
-
-@dataclass(frozen=True, slots=True)
-class Bucket:
-    """One dispatch group: request rows sharing a (target) KV length.
-
-    Attributes:
-        indices: batch positions of the member requests.
-        lengths: each member's exact KV length (post-append, i.e. the
-            length attention reads), in ``indices`` order.
-        length: the bucket's target KV length — ``max(lengths)``; the
-            padded scores extent for mixed-length buckets.
-    """
-
-    indices: tuple[int, ...]
-    lengths: tuple[int, ...]
-    length: int
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    @property
-    def padded(self) -> bool:
-        return any(length != self.length for length in self.lengths)
-
-    @property
-    def padded_slots(self) -> int:
-        """Wasted key positions scored: ``sum(target - member length)``."""
-        return sum(self.length - length for length in self.lengths)
-
-
-@dataclass(frozen=True, slots=True)
-class BucketPlan:
-    """One decode step's bucket assignment (shared by every layer)."""
-
-    buckets: tuple[Bucket, ...]
-
-    @property
-    def num_buckets(self) -> int:
-        return len(self.buckets)
-
-    @property
-    def grouped_requests(self) -> int:
-        return sum(bucket.size for bucket in self.buckets if bucket.size > 1)
-
-    @property
-    def padded_slots(self) -> int:
-        return sum(bucket.padded_slots for bucket in self.buckets)
-
-
-def plan_buckets(lengths: list[int], pad_waste_cap: float = 0.125) -> BucketPlan:
-    """Group request rows by KV length into dispatch buckets.
-
-    Exact-length groups come first: every length shared by >= 2
-    requests becomes one unpadded bucket (the fully batched fast
-    path).  Leftover singletons are then greedily merged, longest
-    first, into padded buckets as long as the padded fraction
-    ``padded_slots / (size * target)`` stays within ``pad_waste_cap``
-    — the knob trading fewer dispatches against wasted key reads.
-    Whatever still stands alone stays a singleton bucket, which the
-    dispatcher routes through the per-request oracle so it keeps the
-    M == 1 kernel path (and its bitwise guarantee) untouched.
-
-    The plan depends only on the lengths, so one plan per step serves
-    every layer.
-    """
-    if not 0.0 <= pad_waste_cap < 1.0:
-        raise ModelError(f"pad_waste_cap must lie in [0, 1), got {pad_waste_cap}")
-    groups: dict[int, list[int]] = {}
-    for index, length in enumerate(lengths):
-        if length < 1:
-            raise ModelError(f"request {index} has KV length {length}")
-        groups.setdefault(length, []).append(index)
-
-    buckets: list[Bucket] = []
-    singles: list[tuple[int, int]] = []
-    for length, indices in groups.items():
-        if len(indices) >= 2:
-            buckets.append(
-                Bucket(
-                    indices=tuple(indices),
-                    lengths=(length,) * len(indices),
-                    length=length,
-                )
-            )
-        else:
-            singles.append((length, indices[0]))
-
-    singles.sort(reverse=True)
-    pending: list[tuple[int, int]] = []
-
-    def close(members: list[tuple[int, int]]) -> None:
-        if not members:
-            return
-        target = members[0][0]
-        buckets.append(
-            Bucket(
-                indices=tuple(index for _, index in members),
-                lengths=tuple(length for length, _ in members),
-                length=target,
-            )
-        )
-
-    for length, index in singles:
-        if not pending:
-            pending = [(length, index)]
-            continue
-        target = pending[0][0]
-        candidate = pending + [(length, index)]
-        waste = sum(target - member_len for member_len, _ in candidate)
-        if pad_waste_cap > 0.0 and waste <= pad_waste_cap * len(candidate) * target:
-            pending = candidate
-        else:
-            close(pending)
-            pending = [(length, index)]
-    close(pending)
-    return BucketPlan(buckets=tuple(buckets))
-
-
-class _BucketWorkspace:
-    """Persistent K/V gather buffers for one bucket membership.
-
-    ``keys`` stays float32 — the scores matmul must run in float32 and
-    be upcast by the float64 scale afterwards, exactly as the oracle
-    does, or the bits change.  ``values`` is stored float64: numpy
-    promotes the mixed ``float64 weights @ float32 values`` context
-    matmul to float64 before BLAS sees it, so pre-promoting into the
-    workspace is bitwise invisible — and it turns a pathologically slow
-    batched mixed-dtype matmul (a fresh O(bucket * len) cast per layer
-    per step) into a straight dgemm over persistent memory.
-
-    ``synced`` is the shared dequant watermark: exact buckets hold
-    equal-length members, and a workspace is only ever reused by the
-    identical member tuple, so one integer tracks all members.
-    """
-
-    __slots__ = ("keys", "values", "synced")
-
-    def __init__(self) -> None:
-        self.keys: np.ndarray | None = None
-        self.values: np.ndarray | None = None
-        self.synced = 0
-
-
-class BucketedAttention:
-    """KV-length-bucketed decode dispatcher (one instance per engine).
-
-    Owns the bucket planning policy (:meth:`plan` wraps
-    :func:`plan_buckets` with the configured pad-waste cap) and the
-    per-bucket gather workspaces.  Workspaces are keyed by the member
-    caches' uid tuples: as long as the same requests stay bucketed
-    together — the steady decode state — each step's sync copies only
-    the tail appended since the last step (O(new tokens), preserving
-    the hot-path contract), and a membership change simply starts a
-    fresh workspace.  The caches are assumed append-only, as on the
-    engine path; rewriting stored history through direct ``write()``
-    calls would require a new cache (new uid) to stay coherent.
-
-    Composes with both storage backends by construction: it reads
-    histories only through ``cache.view()``'s float32
-    ``(1, H, len, hd)`` contract, which unpaged :class:`KVCache` and
-    the paged gather scratch both satisfy.
-    """
-
-    def __init__(self, pad_waste_cap: float = 0.125, max_workspaces: int = 32) -> None:
-        if not 0.0 <= pad_waste_cap < 1.0:
-            raise ModelError(f"pad_waste_cap must lie in [0, 1), got {pad_waste_cap}")
-        if max_workspaces < 1:
-            raise ModelError(f"max_workspaces must be positive, got {max_workspaces}")
-        self.pad_waste_cap = pad_waste_cap
-        self._max_workspaces = max_workspaces
-        self._workspaces: dict[tuple[int, ...], _BucketWorkspace] = {}
-
-    def plan(self, lengths: list[int]) -> BucketPlan:
-        """Bucket assignment for one decode step's post-append lengths."""
-        return plan_buckets(lengths, self.pad_waste_cap)
-
-    def run_bucket(
-        self,
-        attention: "MultiHeadAttention",
-        bucket: Bucket,
-        q: np.ndarray,
-        views: list[tuple[np.ndarray, np.ndarray]],
-        caches: list["KVCache"],
-    ) -> np.ndarray:
-        """Attention context rows ``(bucket, H, 1, hd)`` for one bucket.
-
-        Singleton buckets fall through to the per-request oracle so
-        their rows stay on the M == 1 kernel path, bitwise identical
-        to sequential decode.
-        """
-        for slot, index in enumerate(bucket.indices):
-            have = views[index][0].shape[2]
-            if have != bucket.lengths[slot]:
-                raise ModelError(
-                    f"bucket expects request {index} at KV length "
-                    f"{bucket.lengths[slot]}, cache holds {have}"
-                )
-        if bucket.size == 1:
-            index = bucket.indices[0]
-            keys, values = views[index]
-            return attention._attention_core(
-                q[index : index + 1], keys, values, bucket.length - 1
-            )
-        scope = _ACTIVE_SCOPE.get()
-        stats = scope.attention
-        stats.dispatches += 1
-        stats.grouped_requests += bucket.size
-        if bucket.padded:
-            stats.padded_slots += bucket.padded_slots
-        tracer = scope.tracer
-        if tracer is None:
-            if bucket.padded:
-                return self._run_padded(attention, bucket, q, views)
-            return self._run_exact(attention, bucket, q, views, caches)
-        with tracer.span(
-            "decode.attention",
-            size=bucket.size,
-            kv_length=bucket.length,
-            padded=bucket.padded,
-        ):
-            if bucket.padded:
-                return self._run_padded(attention, bucket, q, views)
-            return self._run_exact(attention, bucket, q, views, caches)
-
-    # -- exact-length buckets ---------------------------------------------
-
-    def _workspace(
-        self,
-        bucket: Bucket,
-        views: list[tuple[np.ndarray, np.ndarray]],
-        caches: list["KVCache"],
-    ) -> _BucketWorkspace:
-        """Sync (incrementally) and return the bucket's gather workspace."""
-        key = tuple(caches[index].uid for index in bucket.indices)
-        length = bucket.length
-        workspace = self._workspaces.get(key)
-        if workspace is None:
-            if len(self._workspaces) >= self._max_workspaces:
-                self._workspaces.clear()
-            workspace = _BucketWorkspace()
-            self._workspaces[key] = workspace
-        if workspace.synced > length:
-            # History shrank under us (direct write() rollback): the
-            # cached prefix can no longer be trusted.
-            workspace.synced = 0
-        if workspace.keys is None or workspace.keys.shape[2] < length:
-            capacity = max(
-                length,
-                _INITIAL_CAPACITY,
-                2 * (0 if workspace.keys is None else workspace.keys.shape[2]),
-            )
-            heads, head_dim = views[bucket.indices[0]][0].shape[1], views[
-                bucket.indices[0]
-            ][0].shape[3]
-            shape = (bucket.size, heads, capacity, head_dim)
-            workspace.keys = grow_buffer(
-                workspace.keys, shape, 2, workspace.synced, np.float32
-            )
-            workspace.values = grow_buffer(
-                workspace.values, shape, 2, workspace.synced, np.float64
-            )
-        if workspace.synced < length:
-            tail = slice(workspace.synced, length)
-            for slot, index in enumerate(bucket.indices):
-                keys, values = views[index]
-                workspace.keys[slot, :, tail] = keys[0, :, tail]
-                workspace.values[slot, :, tail] = values[0, :, tail]
-            _ACTIVE_SCOPE.get().hot.copy_bytes += bucket.size * (
-                workspace.keys[0, :, tail].nbytes + workspace.values[0, :, tail].nbytes
-            )
-            workspace.synced = length
-        return workspace
-
-    def _run_exact(
-        self,
-        attention: "MultiHeadAttention",
-        bucket: Bucket,
-        q: np.ndarray,
-        views: list[tuple[np.ndarray, np.ndarray]],
-        caches: list["KVCache"],
-    ) -> np.ndarray:
-        """Fully batched attention over equal-length histories.
-
-        One stacked pipeline — scores matmul, max, exp, sum, divide,
-        context matmul — over ``(bucket, H, ...)`` operands.  numpy
-        runs BLAS per leading-axis slice and every elementwise /
-        reduction op is row-local with an unchanged reduced extent, so
-        each row's bits match the per-request oracle exactly (verified
-        by the singleton/padded parity tests and the benchmark gate).
-        """
-        workspace = self._workspace(bucket, views, caches)
-        length = bucket.length
-        keys = workspace.keys[:, :, :length]
-        values = workspace.values[:, :, :length]
-        q_rows = q[list(bucket.indices)]
-        scores = (q_rows @ keys.swapaxes(-1, -2)) * attention.scale
-        scores -= scores.max(axis=-1, keepdims=True)
-        weights = np.exp(scores)
-        weights /= weights.sum(axis=-1, keepdims=True)
-        return weights @ values
-
-    # -- padded buckets ----------------------------------------------------
-
-    def _run_padded(
-        self,
-        attention: "MultiHeadAttention",
-        bucket: Bucket,
-        q: np.ndarray,
-        views: list[tuple[np.ndarray, np.ndarray]],
-    ) -> np.ndarray:
-        """Padded masked attention over near-equal-length histories.
-
-        Matmuls and sums run per member at the member's *exact* length
-        — padding an operand fed to BLAS, or widening a reduction,
-        changes bits at unaligned lengths — while the shared padded
-        scores workspace lets the elementwise softmax middle (max /
-        subtract / exp / divide, all row-local) run batched.  Pad
-        columns are assigned ``MASK_VALUE`` directly (never computed),
-        so ``exp`` maps them to 0.0 and they influence nothing; the
-        per-member sum reads only real columns regardless.
-        """
-        size, target = bucket.size, bucket.length
-        heads, head_dim = attention.n_heads, attention.head_dim
-        scores = np.empty((size, heads, 1, target))
-        for slot, (index, length) in enumerate(zip(bucket.indices, bucket.lengths)):
-            keys = views[index][0]
-            row = (q[index : index + 1] @ keys.swapaxes(-1, -2)) * attention.scale
-            scores[slot, :, :, :length] = row[0]
-            scores[slot, :, :, length:] = MASK_VALUE
-        scores -= scores.max(axis=-1, keepdims=True)
-        weights = np.exp(scores)
-        denominators = np.empty((size, heads, 1, 1))
-        for slot, length in enumerate(bucket.lengths):
-            denominators[slot] = weights[slot, :, :, :length].sum(
-                axis=-1, keepdims=True
-            )
-        weights /= denominators
-        context = np.empty((size, heads, 1, head_dim))
-        for slot, (index, length) in enumerate(zip(bucket.indices, bucket.lengths)):
-            values = views[index][1]
-            context[slot] = (weights[slot : slot + 1, :, :, :length] @ values)[0]
-        return context
 
 
 class MultiHeadAttention(Module):
@@ -1062,16 +682,14 @@ class MultiHeadAttention(Module):
         context = self.tap.apply(TensorKind.O, context)
         return self.out_proj(context)
 
-    # -- incremental decode path ------------------------------------------
+    # -- incremental (plain-numpy) path ----------------------------------
 
     def _project_qkv(self, x: np.ndarray) -> np.ndarray:
         """QKV-tap + fused projection: ``(B, T, D)`` -> ``(3, B, H, T, hd)``."""
         batch, new_len, _ = x.shape
         if self.tap.quantizer is not None:
             x = self.tap.quantizer(TensorKind.QKV, x)
-        qkv = x @ self.qkv_proj.weight.data
-        if self.qkv_proj.bias is not None:
-            qkv = qkv + self.qkv_proj.bias.data
+        qkv = row_gemm(x, self.qkv_proj)
         qkv = qkv.reshape(batch, new_len, 3, self.n_heads, self.head_dim)
         return qkv.transpose(2, 0, 3, 1, 4)
 
@@ -1083,7 +701,7 @@ class MultiHeadAttention(Module):
         ``q`` is ``(batch, heads, new, head_dim)``; ``keys``/``values``
         hold ``start + new`` cached positions.  No padding is involved:
         scores span exactly the request's history, which is what makes
-        batched decode token-identical to sequential decode.
+        a segment of a packed step token-identical to sequential decode.
         """
         new_len = q.shape[2]
         _ACTIVE_SCOPE.get().attention.dispatches += 1
@@ -1100,10 +718,7 @@ class MultiHeadAttention(Module):
         """O-tap + output projection for ``(B, T, D)`` attention context."""
         if self.tap.quantizer is not None:
             context = self.tap.quantizer(TensorKind.O, context)
-        out = context @ self.out_proj.weight.data
-        if self.out_proj.bias is not None:
-            out = out + self.out_proj.bias.data
-        return out.astype(np.float32)
+        return row_gemm(context, self.out_proj).astype(np.float32)
 
     def step(self, x: np.ndarray, cache: KVCache) -> np.ndarray:
         """Process new tokens with cached history (plain numpy).
@@ -1127,166 +742,40 @@ class MultiHeadAttention(Module):
         context = context.transpose(0, 2, 1, 3).reshape(batch, new_len, d_model)
         return self._project_out(context)
 
-    def step_batch(
-        self,
-        x: np.ndarray,
-        caches: list[KVCache],
-        plan: BucketPlan | None = None,
-        dispatcher: BucketedAttention | None = None,
-    ) -> np.ndarray:
-        """Single-token decode for many independent requests at once.
+    def step_batch(self, x: np.ndarray, caches: list[KVCache]) -> np.ndarray:
+        """One decode token for each of many requests: ``(B, 1, D)``.
 
-        The projections (QKV, output) run as one batched ``(B, 1, D)``
-        GeMM — numpy applies them per leading-axis slice, so each row is
-        bitwise identical to a ``batch=1`` :meth:`step` call.  Each
-        request may sit at a different position; rotary/positional
-        phases are gathered per request.
-
-        Attention itself runs in one of two modes, both token-bitwise
-        identical to sequential decode:
-
-        * **per request** (``plan is None``): one
-          :meth:`_attention_core` call per request against that
-          request's exact-length cache — O(batch) dispatches per layer.
-        * **grouped** (``plan`` + ``dispatcher`` given): appends and
-          views are collected first, then each :class:`Bucket` of the
-          plan runs as one batched launch — O(buckets) dispatches per
-          layer (singleton buckets still route through the oracle to
-          stay on the M == 1 kernel path).
-
-        Args:
-            x: ``(batch, 1, d_model)`` activations, one row per request.
-            caches: one :class:`KVCache` per request for *this* layer,
-                each extended in place.
-            plan: the step's bucket assignment (computed once from the
-                post-append lengths, shared across layers).
-            dispatcher: the engine's :class:`BucketedAttention`.
+        A thin entry into :meth:`step_mixed`: the rows become B
+        one-token segments of one flat pass.
         """
         batch, new_len, d_model = x.shape
         if new_len != 1:
             raise ModelError(f"step_batch decodes one token per request, got {new_len}")
-        if len(caches) != batch:
-            raise ModelError(
-                f"got {len(caches)} caches for a batch of {batch} requests"
-            )
-        starts = np.array([cache.length for cache in caches])
-        qkv = self._project_qkv(x)
-        q, k, v = qkv[0], qkv[1], qkv[2]  # (B, H, 1, hd)
-
-        if self.rotary is not None:
-            cos, sin = self.rotary.gather(starts)
-            cos = cos[:, None, None, :]  # (B, 1, 1, hd) -> broadcasts over heads
-            sin = sin[:, None, None, :]
-            q = q * cos + _rotate_half_np(q) * sin
-            k = k * cos + _rotate_half_np(k) * sin
-
-        # Group the batch by compression scheme and compress each
-        # group's K *and* V in a single stacked call per scheme — the
-        # transform is row-local along leading axes, so this is
-        # bitwise identical to the per-request, per-tensor compress
-        # inside append() while paying the codec's fixed overhead once
-        # per (layer, scheme) instead of 2x batch times.  A uniform
-        # batch (the engine's common case) degenerates to exactly one
-        # stacked call over the whole k/v arrays; fp16 rows are the
-        # identity and skip the stack entirely.  Afterwards every row
-        # holds its stored form, so the append loops below always take
-        # the precompressed path.
-        groups: dict[tuple, list[int]] = {}
-        for index, cache in enumerate(caches):
-            key = cache.compression_key()
-            if key != ("fp16",):
-                groups.setdefault(key, []).append(index)
-        if groups:
-            tracer = _ACTIVE_SCOPE.get().tracer
-            span = (
-                nullcontext()
-                if tracer is None
-                else tracer.span("decode.codec", batch=batch)
-            )
-            with span:
-                for indices in groups.values():
-                    n = len(indices)
-                    if n == batch:
-                        stacked = caches[indices[0]].compress(
-                            np.concatenate([k, v], axis=0)
-                        )
-                        k = stacked[:n]
-                        v = stacked[n:]
-                    else:
-                        stacked = caches[indices[0]].compress(
-                            np.concatenate([k[indices], v[indices]], axis=0)
-                        )
-                        k[indices] = stacked[:n]
-                        v[indices] = stacked[n:]
-        precompressed = True
-
-        if plan is not None and dispatcher is not None:
-            # Grouped mode: land every request's append first (views of
-            # one request's cache are never invalidated by another
-            # request's append — per-request buffers, or per-sequence
-            # gather scratch in the paged pool), then launch once per
-            # bucket.
-            views: list[tuple[np.ndarray, np.ndarray]] = []
-            for index, cache in enumerate(caches):
-                k_row = k[index : index + 1]
-                v_row = v[index : index + 1]
-                if precompressed:
-                    views.append(cache.append_precompressed(k_row, v_row))
-                else:
-                    views.append(cache.append(k_row, v_row))
-            context: np.ndarray | None = None
-            for bucket in plan.buckets:
-                rows = dispatcher.run_bucket(self, bucket, q, views, caches)
-                if context is None:
-                    context = _context_scratch((batch,) + rows.shape[1:], rows.dtype)
-                for slot, index in enumerate(bucket.indices):
-                    context[index] = rows[slot]
-            context = context.transpose(0, 2, 1, 3).reshape(batch, new_len, d_model)
-            return self._project_out(context)
-
-        # (B, H, 1, hd) scratch reused across the step's layers; the
-        # transpose+reshape below hands a fresh copy (or a view consumed
-        # before the next layer) to the output projection.
-        context = None
-        for index, cache in enumerate(caches):
-            k_row = k[index : index + 1]
-            v_row = v[index : index + 1]
-            if precompressed:
-                keys, values = cache.append_precompressed(k_row, v_row)
-            else:
-                keys, values = cache.append(k_row, v_row)
-            row = self._attention_core(
-                q[index : index + 1], keys, values, int(starts[index])
-            )
-            if context is None:
-                context = _context_scratch((batch,) + row.shape[1:], row.dtype)
-            context[index] = row[0]
-        context = context.transpose(0, 2, 1, 3).reshape(batch, new_len, d_model)
-        return self._project_out(context)
+        out = self.step_mixed(x.reshape(1, batch, d_model), caches, [1] * batch)
+        return out.reshape(batch, 1, d_model)
 
     def step_mixed(
         self, x: np.ndarray, caches: list[KVCache], lengths: list[int]
     ) -> np.ndarray:
-        """Variable-length prompt segments for many requests at once.
+        """Variable-length segments for many requests in one flat pass.
 
-        The chunk lane of a mixed step: prompt chunks — a budget-sized
-        slice of a long prompt, or a whole short prompt — are
-        flattened along the time axis into one ``(1, total, d_model)``
-        array so the projections, norms and FFN run as a single GeMM
-        over every prefill token in the step, while attention runs per
-        segment against that request's exact-length cache.  A segment
-        may start anywhere (``cache.length`` positions already
-        cached): rotary phases are gathered per flattened position
-        (:meth:`RotaryTable.gather`), and the causal mask spans
-        ``cache_len + segment`` so chunk queries see the whole cached
-        history plus their own prefix.  Because multi-row GeMM results
-        are row-local (every ``M >= 2`` matmul kernel accumulates rows
-        identically), each segment is bitwise identical to the same
-        rows of a monolithic prefill — which is what makes chunked
-        prefill token-identical to unchunked prefill.  Single-token
-        decodes do *not* belong in this lane: OpenBLAS's ``M == 1``
-        kernel accumulates differently, so the engine keeps decodes on
-        :meth:`step_batch` to preserve their own bitwise guarantee.
+        The serving engine's only forward lane.  Each segment is one
+        request's new tokens: a prompt chunk, a whole short prompt, or a
+        single decode token.  Segments are flattened along the time axis
+        into one ``(1, total, d_model)`` array, so the QKV and output
+        projections run as one row GeMM over every token of the step
+        (:func:`~repro.llm.layers.row_gemm`).  Rows of that GeMM are
+        bitwise independent of which rows share it, so every segment
+        equals the same rows of a sequential :meth:`step`.
+
+        The write-side codec runs once per compression key over the
+        whole step's K and V (:meth:`_stored_rows`).  Attention then
+        runs per segment through :meth:`_attention_core`, against that
+        request's exact-length cache.  A segment may start anywhere
+        (``cache.length`` positions already cached): rotary phases are
+        gathered per flattened position (:meth:`RotaryTable.gather`),
+        and the causal mask spans ``cache_len + segment``, so chunk
+        queries see the whole cached history plus their own prefix.
 
         Args:
             x: ``(1, total, d_model)`` activations, segments
@@ -1306,20 +795,23 @@ class MultiHeadAttention(Module):
             raise ModelError(f"got {len(caches)} caches for {len(lengths)} segments")
         starts = [cache.length for cache in caches]
         qkv = self._project_qkv(x)
-        q, k, v = qkv[0], qkv[1], qkv[2]  # (1, H, total, hd)
+        q = qkv[0]  # (1, H, total, hd)
 
         if self.rotary is not None:
             positions = chunk_positions(starts, lengths)
             cos, sin = self.rotary.gather(positions)  # (total, hd)
             q = q * cos + _rotate_half_np(q) * sin
-            k = k * cos + _rotate_half_np(k) * sin
+            # Rotate keys in place so K and V stay one stacked view.
+            k = qkv[1]
+            qkv[1] = k * cos + _rotate_half_np(k) * sin
 
+        stored = self._stored_rows(qkv[1:3], caches, lengths)
         # (1, H, total, hd) scratch reused across the step's layers.
         context: np.ndarray | None = None
         offset = 0
-        for cache, start, length in zip(caches, starts, lengths):
+        for cache, start, length, rows in zip(caches, starts, lengths, stored):
             stop = offset + length
-            keys, values = cache.append(k[:, :, offset:stop], v[:, :, offset:stop])
+            keys, values = cache.append_precompressed(rows[0], rows[1])
             segment = self._attention_core(q[:, :, offset:stop], keys, values, start)
             if context is None:
                 context = _context_scratch(
@@ -1329,3 +821,49 @@ class MultiHeadAttention(Module):
             offset = stop
         context = context.transpose(0, 2, 1, 3).reshape(batch, total, d_model)
         return self._project_out(context)
+
+    @staticmethod
+    def _stored_rows(
+        kv: np.ndarray, caches: list[KVCache], lengths: list[int]
+    ) -> list[np.ndarray]:
+        """Per segment, its ``(2, 1, H, len, hd)`` K/V rows in stored form.
+
+        ``kv`` stacks the whole step's keys and values.  The write-side
+        codec is row-local, so one :meth:`KVCache.compress` call per
+        compression key over every segment using it is bitwise equal to
+        compressing each segment alone.  A uniform step (the common
+        case) makes exactly one call over ``kv``; fp16 rows are the
+        identity and skip the codec.
+        """
+        offsets = list(itertools.accumulate(lengths, initial=0))
+        rows = [
+            kv[:, :, :, offsets[index] : offsets[index + 1]]
+            for index in range(len(lengths))
+        ]
+        groups: dict[tuple, list[int]] = {}
+        for index, cache in enumerate(caches):
+            key = cache.compression_key()
+            if key != ("fp16",):
+                groups.setdefault(key, []).append(index)
+        if not groups:
+            return rows
+        tracer = _ACTIVE_SCOPE.get().tracer
+        span = (
+            nullcontext()
+            if tracer is None
+            else tracer.span("forward.codec", segments=len(lengths))
+        )
+        with span:
+            for members in groups.values():
+                packed = kv
+                if len(members) < len(lengths):
+                    picked = np.zeros(kv.shape[3], dtype=bool)
+                    for index in members:
+                        picked[offsets[index] : offsets[index + 1]] = True
+                    packed = kv[:, :, :, picked]
+                compressed = caches[members[0]].compress(packed)
+                cursor = 0
+                for index in members:
+                    rows[index] = compressed[:, :, :, cursor : cursor + lengths[index]]
+                    cursor += lengths[index]
+        return rows

@@ -13,6 +13,7 @@ cache.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import overload
 
 import numpy as np
 
@@ -101,6 +102,50 @@ class Linear(Module):
         return out
 
 
+#: Widest reduction (``in_features``) slice one row-GeMM call takes.
+#: OpenBLAS sends small products (``M*N*K <= 100**3``) to an unblocked
+#: kernel and larger ones to a kernel that splits ``K`` into blocks, so
+#: past a few hundred ``K`` the two sum a row in different orders.
+#: Slices of at most this many columns sum identically in both.
+ROW_GEMM_K_BLOCK = 256
+
+
+def row_gemm(x: Array, linear: Linear) -> Array:
+    """``x @ W (+ b)`` for the inference lanes, bitwise row-local.
+
+    Every dense GeMM of the plain-numpy lanes (QKV, out-proj, FFN, LM
+    head) goes through here, so a row's bits never depend on which
+    rows share its call.  A decode row packed with other requests'
+    rows then equals the same row of a sequential ``generate()``.
+    Three things make that hold on OpenBLAS:
+
+    * leading axes flatten to one 2-D ``(rows, in_features)`` GeMM;
+    * a lone row is padded to two, because ``M == 1`` runs a GeMV
+      kernel that accumulates differently from every ``M >= 2`` GeMM;
+    * the reduction axis is cut into slices of at most
+      :data:`ROW_GEMM_K_BLOCK` columns whose products are summed in
+      order, so the small-matrix and blocked kernels agree whatever
+      ``M`` is.
+
+    ``tests/llm/test_machine_assumptions.py`` checks the property on
+    the live BLAS for every GeMM shape of the model zoo.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    lone = rows.shape[0] == 1
+    if lone:
+        rows = np.repeat(rows, 2, axis=0)
+    weight = linear.weight.data
+    block = ROW_GEMM_K_BLOCK
+    out = rows[:, :block] @ weight[:block]
+    for start in range(block, weight.shape[0], block):
+        out += rows[:, start : start + block] @ weight[start : start + block]
+    if lone:
+        out = out[:1]
+    if linear.bias is not None:
+        out = out + linear.bias.data
+    return out.reshape(*x.shape[:-1], out.shape[-1])
+
+
 class Embedding(Module):
     """Token (or position) embedding table."""
 
@@ -118,31 +163,67 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
-    """Standard LayerNorm over the last axis (OPT family)."""
+    """Standard LayerNorm over the last axis (OPT family).
+
+    A plain ndarray input takes the same op order in plain numpy with
+    float32 scalars: bitwise equal to the autograd path, with no graph
+    nodes built.  The inference lanes call it that way.
+    """
 
     def __init__(self, dim: int, eps: float = 1e-5) -> None:
         self.gain = _parameter(np.ones(dim))
         self.shift = _parameter(np.zeros(dim))
         self.eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
+    @overload
+    def __call__(self, x: Tensor) -> Tensor: ...
+    @overload
+    def __call__(self, x: Array) -> Array: ...
+    def __call__(self, x: Tensor | Array) -> Tensor | Array:
+        if isinstance(x, np.ndarray):
+            return self._forward_array(x)
         mean = x.mean(axis=-1, keepdims=True)
         centered = x - mean
         variance = (centered * centered).mean(axis=-1, keepdims=True)
         normed = centered * (variance + self.eps) ** -0.5
         return normed * self.gain + self.shift
 
+    def _forward_array(self, x: Array) -> Array:
+        x = np.asarray(x, dtype=np.float32)
+        scale = np.float32(1.0 / x.shape[-1])
+        mean = x.sum(axis=-1, keepdims=True) * scale
+        centered = x + (-mean)
+        variance = (centered * centered).sum(axis=-1, keepdims=True) * scale
+        normed = centered * (variance + np.float32(self.eps)) ** -0.5
+        return normed * self.gain.data + self.shift.data
+
 
 class RMSNorm(Module):
-    """Root-mean-square norm without re-centering (LLaMA family)."""
+    """Root-mean-square norm without re-centering (LLaMA family).
+
+    Takes the same plain-numpy path as :class:`LayerNorm` for ndarray
+    inputs.
+    """
 
     def __init__(self, dim: int, eps: float = 1e-5) -> None:
         self.gain = _parameter(np.ones(dim))
         self.eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
+    @overload
+    def __call__(self, x: Tensor) -> Tensor: ...
+    @overload
+    def __call__(self, x: Array) -> Array: ...
+    def __call__(self, x: Tensor | Array) -> Tensor | Array:
+        if isinstance(x, np.ndarray):
+            return self._forward_array(x)
         mean_square = (x * x).mean(axis=-1, keepdims=True)
         return x * (mean_square + self.eps) ** -0.5 * self.gain
+
+    def _forward_array(self, x: Array) -> Array:
+        x = np.asarray(x, dtype=np.float32)
+        scale = np.float32(1.0 / x.shape[-1])
+        mean_square = (x * x).sum(axis=-1, keepdims=True) * scale
+        return x * (mean_square + np.float32(self.eps)) ** -0.5 * self.gain.data
 
 
 def make_norm(kind: str, dim: int) -> Module:

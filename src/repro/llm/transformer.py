@@ -27,8 +27,6 @@ import numpy as np
 from repro.core.precision import TensorKind
 from repro.errors import ModelError
 from repro.llm.attention import (
-    BucketedAttention,
-    BucketPlan,
     KVCache,
     MultiHeadAttention,
     active_scope,
@@ -37,7 +35,7 @@ from repro.llm.attention import (
 from repro.llm.autograd import Tensor, no_grad, softmax_cross_entropy
 from repro.llm.config import ModelConfig
 from repro.llm.hooks import ActivationTap
-from repro.llm.layers import Embedding, Linear, Module, make_norm
+from repro.llm.layers import Embedding, Linear, Module, make_norm, row_gemm
 
 
 class FeedForward(Module):
@@ -59,13 +57,10 @@ class FeedForward(Module):
     def step(self, x: np.ndarray) -> np.ndarray:
         if self.tap.quantizer is not None:
             x = self.tap.quantizer(TensorKind.U, x)
-        hidden = x @ self.up_proj.weight.data + self.up_proj.bias.data
-        hidden = np.maximum(hidden, 0.0)
+        hidden = np.maximum(row_gemm(x, self.up_proj), 0.0)
         if self.tap.quantizer is not None:
             hidden = self.tap.quantizer(TensorKind.D, hidden)
-        return (hidden @ self.down_proj.weight.data + self.down_proj.bias.data).astype(
-            np.float32
-        )
+        return row_gemm(hidden, self.down_proj).astype(np.float32)
 
 
 class GatedFeedForward(Module):
@@ -93,11 +88,11 @@ class GatedFeedForward(Module):
     def step(self, x: np.ndarray) -> np.ndarray:
         if self.tap.quantizer is not None:
             x = self.tap.quantizer(TensorKind.U, x)
-        gate = x @ self.gate_proj.weight.data
-        gate = gate / (1.0 + np.exp(-gate)) * (x @ self.up_proj.weight.data)
+        gate = row_gemm(x, self.gate_proj)
+        gate = gate / (1.0 + np.exp(-gate)) * row_gemm(x, self.up_proj)
         if self.tap.quantizer is not None:
             gate = self.tap.quantizer(TensorKind.D, gate)
-        return (gate @ self.down_proj.weight.data).astype(np.float32)
+        return row_gemm(gate, self.down_proj).astype(np.float32)
 
 
 class TransformerBlock(Module):
@@ -120,49 +115,21 @@ class TransformerBlock(Module):
         return x + self.ffn(self.ffn_norm(x))
 
     def step(self, x: np.ndarray, cache: KVCache) -> np.ndarray:
-        with no_grad():
-            normed = self.attn_norm(Tensor(x)).data
-            x = x + self.attention.step(normed, cache)
-            normed = self.ffn_norm(Tensor(x)).data
-            return x + self.ffn.step(normed)
-
-    def step_batch(
-        self,
-        x: np.ndarray,
-        caches: list[KVCache],
-        plan: BucketPlan | None = None,
-        dispatcher: BucketedAttention | None = None,
-    ) -> np.ndarray:
-        """One decode step for a batch of requests with per-request caches.
-
-        Norms and the feed-forward reduce along the last axis only, so
-        they batch row-identically as-is; attention routes through
-        :meth:`~repro.llm.attention.MultiHeadAttention.step_batch`,
-        grouped into KV-length buckets when a ``plan`` is given.
-        """
-        with no_grad():
-            normed = self.attn_norm(Tensor(x)).data
-            x = x + self.attention.step_batch(
-                normed, caches, plan=plan, dispatcher=dispatcher
-            )
-            normed = self.ffn_norm(Tensor(x)).data
-            return x + self.ffn.step(normed)
+        x = x + self.attention.step(self.attn_norm(x), cache)
+        return x + self.ffn.step(self.ffn_norm(x))
 
     def step_mixed(
         self, x: np.ndarray, caches: list[KVCache], lengths: list[int]
     ) -> np.ndarray:
-        """One mixed step over variable-length per-request segments.
+        """One flat step over variable-length per-request segments.
 
-        Same row-local batching argument as :meth:`step_batch`, with
-        attention routed through
-        :meth:`~repro.llm.attention.MultiHeadAttention.step_mixed` so
-        decodes and prompt chunks share the step's GeMMs.
+        Norms and the feed-forward reduce along the last axis only, and
+        their GeMMs are row GeMMs, so they run over the flat pass as-is;
+        attention routes through
+        :meth:`~repro.llm.attention.MultiHeadAttention.step_mixed`.
         """
-        with no_grad():
-            normed = self.attn_norm(Tensor(x)).data
-            x = x + self.attention.step_mixed(normed, caches, lengths)
-            normed = self.ffn_norm(Tensor(x)).data
-            return x + self.ffn.step(normed)
+        x = x + self.attention.step_mixed(self.attn_norm(x), caches, lengths)
+        return x + self.ffn.step(self.ffn_norm(x))
 
 
 class CausalLM(Module):
@@ -230,98 +197,45 @@ class CausalLM(Module):
         """Fresh per-layer KV caches for incremental decoding."""
         return [KVCache() for _ in self.blocks]
 
+    def _embed_step(self, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Plain-numpy token (plus learned position) embeddings."""
+        with no_grad():
+            hidden = self.token_embedding(tokens).data
+            if self.position_embedding is not None:
+                hidden = hidden + self.position_embedding(positions).data
+        return hidden
+
     def forward_step(
         self, tokens: np.ndarray, caches: list[KVCache]
     ) -> np.ndarray:
         """Extend cached decoding by ``tokens`` (``(batch, new)`` ids).
 
+        The sequential oracle the serving engine is pinned against.
         Returns plain-numpy logits ``(batch, new, vocab)``.
         """
         tokens = np.asarray(tokens)
         start = caches[0].length
-        with no_grad():
-            hidden = self.token_embedding(tokens).data
-            if self.position_embedding is not None:
-                positions = np.arange(start, start + tokens.shape[1])
-                hidden = hidden + self.position_embedding(positions).data
-            for block, cache in zip(self.blocks, caches):
-                hidden = block.step(hidden, cache)
-            normed = self.final_norm(Tensor(hidden)).data
-            return normed @ self.lm_head.weight.data
+        hidden = self._embed_step(tokens, np.arange(start, start + tokens.shape[1]))
+        for block, cache in zip(self.blocks, caches):
+            hidden = block.step(hidden, cache)
+        return row_gemm(self.final_norm(hidden), self.lm_head)
 
     def forward_decode_batch(
-        self,
-        tokens: np.ndarray,
-        request_caches: list[list[KVCache]],
-        dispatcher: BucketedAttention | None = None,
+        self, tokens: np.ndarray, request_caches: list[list[KVCache]]
     ) -> np.ndarray:
-        """Decode one token for many requests in a single batched step.
+        """Decode one token for many requests in one flat pass.
 
-        This is the serving engine's model step: request states are
-        gathered into one ``(batch, 1)`` token array, the big GeMMs
-        (projections, FFN, LM head) run once over the whole batch, and
-        attention consults each request's own exact-length cache — so
-        requests may sit at arbitrary, different positions.  Every row
-        of the result is bitwise identical to running that request alone
-        through :meth:`forward_step`.
-
-        With a ``dispatcher``, attention runs grouped: the step's
-        post-append KV lengths are bucketed once
-        (:meth:`~repro.llm.attention.BucketedAttention.plan` — all
-        layers sit at the same lengths, so the plan is shared) and each
-        layer launches one attention pipeline per bucket instead of one
-        per request, still token-bitwise identical.
+        A thin entry into :meth:`forward_mixed_step` with no chunks.
 
         Args:
             tokens: ``(batch, 1)`` next-token ids, one row per request.
-            request_caches: per request, the per-layer cache list that
-                earlier :meth:`forward_step` / ``forward_decode_batch``
-                calls extended.
-            dispatcher: optional grouped-attention dispatcher.
+            request_caches: per request, its per-layer cache list.
 
         Returns:
             Plain-numpy logits ``(batch, 1, vocab)``.
         """
-        tokens = np.asarray(tokens)
-        if tokens.ndim != 2 or tokens.shape[1] != 1:
-            raise ModelError(
-                f"decode batch expects (batch, 1) token ids, got {tokens.shape}"
-            )
-        if len(request_caches) != tokens.shape[0]:
-            raise ModelError(
-                f"got {len(request_caches)} cache sets for "
-                f"{tokens.shape[0]} requests"
-            )
-        starts = np.array([caches[0].length for caches in request_caches])
-        if (starts + 1).max(initial=0) > self.config.max_seq_len:
-            raise ModelError(
-                f"a request would exceed max_seq_len {self.config.max_seq_len}"
-            )
-        plan: BucketPlan | None = None
-        if dispatcher is not None and len(request_caches) > 1:
-            # Post-append lengths: each cache gains one position this
-            # step before attention reads it.
-            plan = dispatcher.plan([int(start) + 1 for start in starts])
-        tracer = active_scope().tracer
-        if tracer is not None:
-            tracer.begin(
-                "step.decode_batch",
-                batch=tokens.shape[0],
-                grouped=plan is not None,
-            )
-        with no_grad():
-            hidden = self.token_embedding(tokens).data
-            if self.position_embedding is not None:
-                hidden = hidden + self.position_embedding(starts[:, None]).data
-            for layer_index, block in enumerate(self.blocks):
-                layer_caches = [caches[layer_index] for caches in request_caches]
-                hidden = block.step_batch(
-                    hidden, layer_caches, plan=plan, dispatcher=dispatcher
-                )
-            normed = self.final_norm(Tensor(hidden)).data
-            logits = normed @ self.lm_head.weight.data
-        if tracer is not None:
-            tracer.end("step.decode_batch")
+        _, logits = self.forward_mixed_step([], [], tokens, request_caches)
+        assert logits is not None
         return logits
 
     def forward_mixed_step(
@@ -330,29 +244,22 @@ class CausalLM(Module):
         chunk_caches: list[list[KVCache]],
         decode_tokens: np.ndarray | None = None,
         decode_caches: list[list[KVCache]] | None = None,
-        dispatcher: BucketedAttention | None = None,
     ) -> tuple[list[np.ndarray], np.ndarray | None]:
-        """Run prompt chunks and decodes for many requests in one step.
+        """Run prompt chunks and decodes for many requests in one pass.
 
-        This is the chunked-prefill serving step, executed as two lanes
-        inside one invocation:
+        This is the serving engine's model step.  Every segment — a
+        prompt chunk, or one decode token — is flattened along the time
+        axis into one ``(1, total, d_model)`` pass
+        (:meth:`~repro.llm.transformer.TransformerBlock.step_mixed`), so
+        norms, projections, FFN and LM head each run as one row GeMM
+        over the whole step.  Attention runs per segment at each
+        request's exact KV length, so requests may sit at arbitrary,
+        different positions.  Row GeMMs make every row bitwise
+        independent of the rows it shares a call with (see
+        :func:`~repro.llm.layers.row_gemm`), so each segment's logits
+        equal the same rows of a sequential :meth:`forward_step`.
 
-        * the **chunk lane** flattens every prompt chunk along the time
-          axis into one ``(1, total, d_model)`` pass
-          (:meth:`~repro.llm.transformer.TransformerBlock.step_mixed`),
-          so its GeMM rows are bitwise identical to a monolithic
-          prefill of the same prompt;
-        * the **decode lane** is :meth:`forward_decode_batch`, keeping
-          each decode row bitwise identical to sequential decoding.
-
-        The two lanes deliberately do *not* share one GeMM: OpenBLAS
-        switches accumulation kernels between single-row (``M == 1``)
-        and multi-row (``M >= 2``) matmuls, so folding decode rows into
-        the chunk lane's flat GeMM would silently change decode logits
-        in the low bits.  Keeping the lanes separate preserves both
-        bitwise guarantees at once.  The chunk lane runs *first*: if it
-        raises, no decode cache has been touched, so the engine can
-        release the chunk participants' caches and recover.
+        Chunks come first in the pass and decodes after them.
 
         Args:
             chunk_groups: per chunked request, a 1-D array of prompt
@@ -360,80 +267,83 @@ class CausalLM(Module):
                 cache.
             chunk_caches: per chunked request, the per-layer cache list
                 to extend, aligned with ``chunk_groups``.
-            decode_tokens: optional ``(batch, 1)`` next-token ids for
-                the decode lane.
+            decode_tokens: optional ``(batch, 1)`` next-token ids, one
+                row per decoding request.
             decode_caches: per decode request, the per-layer cache
                 list (required when ``decode_tokens`` is given).
-            dispatcher: optional grouped-attention dispatcher for the
-                decode lane (the chunk lane always runs per segment).
 
         Returns:
             ``(chunk_logits, decode_logits)`` — per chunk, plain-numpy
             logits ``(len(group), vocab)``; decode logits ``(batch, 1,
-            vocab)`` or ``None`` when the decode lane is empty.
+            vocab)`` or ``None`` when no decode tokens were given.
         """
-        if not chunk_groups and decode_tokens is None:
-            raise ModelError("mixed step needs at least one chunk or decode")
-        chunk_logits = self._forward_chunk_lane(chunk_groups, chunk_caches)
-        decode_logits = None
-        if decode_tokens is not None:
-            decode_logits = self.forward_decode_batch(
-                decode_tokens, decode_caches or [], dispatcher=dispatcher
-            )
-        return chunk_logits, decode_logits
-
-    def _forward_chunk_lane(
-        self,
-        chunk_groups: list[np.ndarray],
-        chunk_caches: list[list[KVCache]],
-    ) -> list[np.ndarray]:
-        """Flat-GeMM pass over every prompt chunk of a mixed step."""
-        if not chunk_groups:
-            return []
         if len(chunk_caches) != len(chunk_groups):
             raise ModelError(
                 f"got {len(chunk_caches)} cache sets for "
                 f"{len(chunk_groups)} chunk groups"
             )
-        groups = [np.asarray(group).reshape(-1) for group in chunk_groups]
-        if min(group.shape[0] for group in groups) < 1:
+        segments = [np.asarray(group).reshape(-1) for group in chunk_groups]
+        caches = list(chunk_caches)
+        decodes = 0
+        if decode_tokens is not None:
+            decode_tokens = np.asarray(decode_tokens)
+            if decode_tokens.ndim != 2 or decode_tokens.shape[1] != 1:
+                raise ModelError(
+                    f"decode batch expects (batch, 1) token ids, got "
+                    f"{decode_tokens.shape}"
+                )
+            decodes = decode_tokens.shape[0]
+            if decode_caches is None or len(decode_caches) != decodes:
+                raise ModelError(
+                    f"got {0 if decode_caches is None else len(decode_caches)} "
+                    f"cache sets for {decodes} decode requests"
+                )
+            segments.extend(decode_tokens)
+            caches.extend(decode_caches)
+        if not segments:
+            raise ModelError("mixed step needs at least one chunk or decode")
+        lengths = [segment.shape[0] for segment in segments]
+        if min(lengths) < 1:
             raise ModelError("every chunk group must hold at least one token")
-        lengths = [group.shape[0] for group in groups]
-        starts = [caches[0].length for caches in chunk_caches]
+        starts = [request[0].length for request in caches]
         if max(
             start + length for start, length in zip(starts, lengths)
         ) > self.config.max_seq_len:
             raise ModelError(
                 f"a request would exceed max_seq_len {self.config.max_seq_len}"
             )
-        flat = np.concatenate(groups)[None, :]  # (1, total)
+        total = sum(lengths)
+        flat = np.empty((1, total), dtype=np.int64)
+        offset = 0
+        for segment in segments:
+            flat[0, offset : offset + segment.shape[0]] = segment
+            offset += segment.shape[0]
         tracer = active_scope().tracer
         if tracer is not None:
             tracer.begin(
-                "step.prefill_chunks",
-                chunks=len(groups),
-                tokens=int(flat.shape[1]),
+                "step.forward",
+                chunks=len(chunk_groups),
+                decodes=decodes,
+                tokens=total,
             )
-        with no_grad():
-            hidden = self.token_embedding(flat).data
-            if self.position_embedding is not None:
-                # Shared with the attention layers' rotary gather: one
-                # memoized build per mixed step, not one per consumer.
-                positions = chunk_positions(starts, lengths)
-                hidden = hidden + self.position_embedding(positions).data
-            for layer_index, block in enumerate(self.blocks):
-                layer_caches = [caches[layer_index] for caches in chunk_caches]
-                hidden = block.step_mixed(hidden, layer_caches, lengths)
-            normed = self.final_norm(Tensor(hidden)).data
-            logits = normed @ self.lm_head.weight.data  # (1, total, vocab)
+        # Shared with the attention layers' rotary gather: one memoized
+        # build per step, not one per consumer.
+        hidden = self._embed_step(flat, chunk_positions(starts, lengths))
+        for layer_index, block in enumerate(self.blocks):
+            layer_caches = [request[layer_index] for request in caches]
+            hidden = block.step_mixed(hidden, layer_caches, lengths)
+        logits = row_gemm(self.final_norm(hidden), self.lm_head)[0]  # (total, vocab)
         if tracer is not None:
-            tracer.end("step.prefill_chunks")
-        split: list[np.ndarray] = []
+            tracer.end("step.forward")
+        chunk_logits: list[np.ndarray] = []
         offset = 0
-        for length in lengths:
-            split.append(logits[0, offset : offset + length, :])
+        for length in lengths[: len(chunk_groups)]:
+            chunk_logits.append(logits[offset : offset + length])
             offset += length
-        return split
+        decode_logits = None
+        if decode_tokens is not None:
+            decode_logits = logits[offset:, None, :]
+        return chunk_logits, decode_logits
 
     # -- tap plumbing ----------------------------------------------------------
 

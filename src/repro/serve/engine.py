@@ -31,18 +31,18 @@ budget per running decode and gives the remainder to the prompt as a
 chunk.  ``RequestState.prefill_pos`` tracks progress; a half-prefilled
 request waits in the queue holding its partial cache until its final
 chunk completes and emits its first token.  Chunked output is
-token-bitwise-identical to unchunked prefill: multi-row GeMMs are
-row-local, attention masks span ``cache_len + chunk``, and decode
-tokens keep their own batched lane (see ``forward_mixed_step`` for why
-the lanes must not share one GeMM).
+token-bitwise-identical to unchunked prefill: row GeMMs are row-local
+and attention masks span ``cache_len + chunk``.
 
-Decode batching keeps per-request KV caches at their exact lengths (no
-cross-request padding): request tokens are gathered into a ``(batch,
-1)`` array, the big GeMMs run once over the batch, and logits scatter
-back to the per-request states.  Every emitted token is bitwise
-identical to what a sequential :func:`repro.llm.generation.generate`
-call would produce — the parity tests pin this down for FP16 and
-Anda-compressed KV caches, chunked and unchunked.
+Decode rows ride the same flat pass as one-token segments, so every
+step — decode-only, chunk-only or mixed — is one model call.  Per-request
+KV caches stay at their exact lengths (no cross-request padding): the
+big GeMMs run once over every row of the step, attention runs per
+request, and logits scatter back to the per-request states.  Every
+emitted token is bitwise identical to what a sequential
+:func:`repro.llm.generation.generate` call would produce — the parity
+tests pin this down for FP16 and Anda-compressed KV caches, chunked and
+unchunked.
 
 With ``kv_pool=True`` the engine swaps per-request exact-length caches
 for the paged memory subsystem (:mod:`repro.serve.kvpool`): KV lives
@@ -78,7 +78,6 @@ from repro.hw.traffic import (
 )
 from repro.llm.attention import (
     AttentionDispatchStats,
-    BucketedAttention,
     KVCache,
     KVHotPathStats,
     stats_scope,
@@ -172,18 +171,6 @@ class EngineConfig:
             per position along the head dimension).
         prefix_caching: share prompt-prefix blocks across requests
             (kv_pool mode).
-        grouped_attention: bucket the decode batch by KV length and run
-            one batched attention launch per (layer, bucket) instead of
-            one per (layer, request)
-            (:class:`repro.llm.attention.BucketedAttention`).  Token
-            output is bitwise identical either way; grouping only cuts
-            Python/BLAS dispatch count from O(batch) to O(buckets) per
-            layer.
-        attention_pad_waste: padded-bucket waste cap in [0, 1): the
-            maximum fraction of scored key positions that may be
-            padding when merging near-equal-length singletons into one
-            padded bucket.  0 disables padded merging (exact-length
-            grouping only).
         telemetry: optional instruments
             (:class:`~repro.serve.telemetry.TelemetryConfig`) — phase
             span tracing for Chrome-trace export and per-step summary
@@ -214,8 +201,6 @@ class EngineConfig:
     kv_pool_blocks: int = 64
     kv_block_size: int = DEFAULT_BLOCK_SIZE
     prefix_caching: bool = True
-    grouped_attention: bool = True
-    attention_pad_waste: float = 0.125
     telemetry: TelemetryConfig = TelemetryConfig()
     kv_format: KVFormat | None = None
     faults: FaultPlan | None = None
@@ -237,11 +222,6 @@ class EngineConfig:
             raise ModelError(f"kv_pool_blocks must be >= 2, got {self.kv_pool_blocks}")
         if self.kv_block_size < 1:
             raise ModelError(f"kv_block_size must be >= 1, got {self.kv_block_size}")
-        if not 0.0 <= self.attention_pad_waste < 1.0:
-            raise ModelError(
-                f"attention_pad_waste must lie in [0, 1), got "
-                f"{self.attention_pad_waste}"
-            )
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise ModelError(
                 "faults must be a repro.serve.faults.FaultPlan or None, "
@@ -348,11 +328,6 @@ class Engine:
                 codecs=None if fmt.uniform else fmt.codecs(self._n_layers),
                 enable_prefix_cache=self.config.prefix_caching,
             )
-        self._dispatcher: BucketedAttention | None = (
-            BucketedAttention(pad_waste_cap=self.config.attention_pad_waste)
-            if self.config.grouped_attention
-            else None
-        )
         # Per-engine hot-path stats: installed around every step via
         # stats_scope, so two engines in one process (or one per
         # thread) never bleed kv_copy_bytes / attention_dispatches into
@@ -631,9 +606,7 @@ class Engine:
             tracer.begin("step", ts=tracer.to_us(started), step=self._step_index)
         self._step_deltas = []
         copy_before, dequant_before = self._hot_stats.snapshot()
-        dispatches_before, grouped_before, _ = self._attn_stats.snapshot()
-        n_layers = self.model.config.n_layers
-        padded_reads = 0
+        dispatches_before = self._attn_stats.dispatches
         # Deadlines are enforced at step boundaries: sweep before
         # planning so an expired request never costs another forward.
         self._expire_deadlines(started)
@@ -670,8 +643,7 @@ class Engine:
         prefix_hit_tokens = 0
         saved = StepTraffic()
         evicted_before = 0 if self._pool is None else self._pool.evicted_blocks
-        # Per-format attribution of the step's KV bytes.  Padded decode
-        # reads belong to no request and stay in the aggregate only.
+        # Per-format attribution of the step's KV bytes.
         fmt_bytes: dict[str, float] = {}
 
         def charge_format(state: RequestState, nbytes: float) -> None:
@@ -689,17 +661,19 @@ class Engine:
                 legacy.append(chunk)
 
         decodes = list(plan.decodes)
-        waves = self._plan_waves(chunked)
+        # Decodes ride the first wave; a decode-only step is one wave
+        # with no chunks.
+        waves = self._plan_waves(chunked) or ([[]] if decodes else [])
         executed_chunks = 0
         first_wave = True
-        # Set when an injected fault aborts the forward lanes: the rest
-        # of the step (later waves, decode-only lane, legacy prefills)
-        # is skipped; every participant was rolled back to its pre-step
-        # KV state, so the next step replays it bitwise.
+        # Set when an injected fault aborts the forward: the rest of
+        # the step (later waves, legacy prefills) is skipped; every
+        # participant was rolled back to its pre-step KV state, so the
+        # next step replays it bitwise.
         faulted = False
-        # The weight stream is charged once per *step*: the mixed step
-        # is the fusion quantum of the analytic traffic model, so the
-        # decode lane's charge covers every chunk riding along, and an
+        # The weight stream is charged once per *step*: the step is the
+        # fusion quantum of the analytic traffic model, so the decode
+        # rows' charge covers every chunk riding along, and an
         # all-prefill step pays it exactly once however its waves fall.
         weights_charged = False
         for wave in waves:
@@ -717,7 +691,6 @@ class Engine:
                 first_wave = False
                 continue
             decode_contexts = [state.context_length for state in wave_decodes]
-            padded_before = self._attn_stats.padded_slots
             try:
                 for state in wave_decodes:
                     inject("model.decode", state.request.request_id)
@@ -733,7 +706,6 @@ class Engine:
                         self._decode_tokens(wave_decodes) if wave_decodes else None
                     ),
                     decode_caches=[state.caches for state in wave_decodes],
-                    dispatcher=self._dispatcher,
                 )
             except InjectedFault as fault:
                 # Injected faults have precise rollback semantics: every
@@ -750,13 +722,14 @@ class Engine:
                 # failure class mid-forward may have corrupted shared
                 # engine state, so the engine must not absorb it — but
                 # it still rolls back what it provably can before
-                # propagating.  The chunk lane runs before the decode
-                # lane, so a failure there leaves decode caches
-                # untouched; releasing the chunk participants' partial
-                # caches puts them back to a clean un-prefilled waiting
-                # state (no pool blocks leak).  Earlier waves already
-                # committed consistent states (completed or
+                # propagating.  Decode caches go back to their pre-step
+                # watermarks, and releasing the chunk participants'
+                # partial caches puts them back to a clean un-prefilled
+                # waiting state (no pool blocks leak).  Earlier waves
+                # already committed consistent states (completed or
                 # half-prefilled).
+                for state, length in zip(wave_decodes, decode_contexts):
+                    self._truncate_caches(state, length)
                 for run in runs:
                     self._rollback_chunk(run.state)
                 raise
@@ -764,20 +737,11 @@ class Engine:
             executed_chunks += len(runs)
 
             if wave_decodes:
-                # Only the decode lane can pad (the chunk lane always
-                # runs per segment), so the step's padded-slot delta is
-                # the lane's waste; one layer group's worth is the unit
-                # the traffic model charges.
-                lane_padded = (self._attn_stats.padded_slots - padded_before) // (
-                    n_layers
-                )
-                padded_reads += lane_padded
                 traffic = traffic + decode_step_traffic(
                     self.model.config,
                     decode_contexts,
                     kv_bits_per_element=[state.kv_bits for state in wave_decodes],
                     batched=True,
-                    padded_read_positions=lane_padded,
                 )
                 weights_charged = True
                 for index, state in enumerate(wave_decodes):
@@ -838,52 +802,6 @@ class Engine:
                         )
                     state.status = RequestStatus.PREFILLING
                     partial += 1
-
-        if first_wave and decodes and not faulted:
-            # No chunks this step: plain batched decode (still reserving
-            # its block growth first in pool mode).
-            if self._pool is not None:
-                decodes, _, evicted = self._reserve_step_blocks(decodes, [])
-                preemptions += evicted
-            if decodes:
-                decode_contexts = [state.context_length for state in decodes]
-                padded_before = self._attn_stats.padded_slots
-                try:
-                    for state in decodes:
-                        inject("model.decode", state.request.request_id)
-                    decode_logits = self.model.forward_decode_batch(
-                        self._decode_tokens(decodes),
-                        [state.caches for state in decodes],
-                        dispatcher=self._dispatcher,
-                    )
-                except InjectedFault as fault:
-                    # Same recovery as the mixed lane: caches back to
-                    # their pre-step watermarks, victim handled, step
-                    # abandoned.
-                    self._recover_step_fault(fault, [], decodes, decode_contexts)
-                    decodes = []
-                    faulted = True
-            if decodes:
-                lane_padded = (self._attn_stats.padded_slots - padded_before) // (
-                    n_layers
-                )
-                padded_reads += lane_padded
-                traffic = traffic + decode_step_traffic(
-                    self.model.config,
-                    decode_contexts,
-                    kv_bits_per_element=[state.kv_bits for state in decodes],
-                    batched=True,
-                    padded_read_positions=lane_padded,
-                )
-                for index, state in enumerate(decodes):
-                    charge_format(
-                        state,
-                        decode_request_kv_bytes(
-                            self.model.config, decode_contexts[index], state.kv_bits
-                        ),
-                    )
-                    self._emit(state, decode_logits[index, -1, :])
-                    new_tokens += 1
 
         if faulted:
             # A batch-level rollback already abandoned this step; the
@@ -996,10 +914,6 @@ class Engine:
             kv_copy_bytes=self._hot_stats.copy_bytes - copy_before,
             kv_dequant_bytes=self._hot_stats.dequant_bytes - dequant_before,
             attention_dispatches=self._attn_stats.dispatches - dispatches_before,
-            attention_grouped_requests=(
-                self._attn_stats.grouped_requests - grouped_before
-            ),
-            attention_padded_reads=padded_reads,
             kv_format_bytes=tuple(sorted(fmt_bytes.items())),
         )
         self._reports.append(report)
@@ -1325,12 +1239,10 @@ class Engine:
 
         Every decode participant's KV is truncated back to its
         pre-step watermark (captured before the forward), every chunk
-        participant returns to a clean waiting state, and the grouped-
-        attention dispatcher is rebuilt (its workspaces track synced
-        cache lengths that a truncation would invalidate; fresh
-        workspaces re-sync bitwise).  An attributed victim is then
-        quarantined or backed off; an unattributed fault counts as one
-        batch retry — the whole step simply replays next tick, bitwise.
+        participant returns to a clean waiting state.  An attributed
+        victim is then quarantined or backed off; an unattributed fault
+        counts as one batch retry — the whole step simply replays next
+        tick, bitwise.
         """
         for state, length in zip(decodes, watermarks):
             self._truncate_caches(state, length)
@@ -1345,10 +1257,6 @@ class Engine:
         for run in runs:
             if run.state is not victim:
                 self._rollback_chunk(run.state)
-        if self._dispatcher is not None:
-            self._dispatcher = BucketedAttention(
-                pad_waste_cap=self.config.attention_pad_waste
-            )
         if victim is None:
             self._fault_retries += 1
             return

@@ -43,7 +43,7 @@ SITES = (
     "admission",  # Engine.submit, after validation (per request)
     "model.prefill",  # legacy/resume prefill lane, pre-forward (per request)
     "model.chunk",  # chunked-prefill lane, pre-forward (per request)
-    "model.decode",  # decode lane, pre-forward (per decode request)
+    "model.decode",  # decode rows, pre-forward (per decode request)
     "codec.encode",  # PagedKVCache.compress (sequence owner)
     "pool.allocate",  # KVPool.take_block (ambient request scope, else batch)
     "paged.gather",  # SequenceKV.gather (sequence owner)

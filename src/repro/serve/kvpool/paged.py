@@ -3,7 +3,7 @@
 A :class:`SequenceKV` is one request's view of the pool: an ordered
 block table (shared across layers — a block holds every layer's K/V
 for its token positions) plus one :class:`PagedKVCache` per layer that
-plugs into the existing attention ``step`` / ``step_batch`` paths.
+plugs into the attention ``step`` / ``step_mixed`` paths.
 Writes scatter new positions into blocks (allocating or copy-on-write
 forking as needed); reads gather the non-contiguous blocks back into
 one contiguous history.  Stored bytes are identical to the unpaged
@@ -12,7 +12,9 @@ is bitwise identical to unpaged decode.
 
 The gather is the decode hot path: every layer of every step reads a
 request's whole history.  :meth:`SequenceKV.gather` therefore keeps a
-persistent per-layer float32 scratch per sequence and extends it
+persistent per-layer scratch per sequence (float32 keys, float64
+values, the dtypes :class:`~repro.llm.attention.KVCache.view` hands
+out) and extends it
 incrementally — one vectorized fancy-index gather over the block table
 covers exactly the positions appended since the last step, so a decode
 step costs O(new tokens), not O(history).  Copy-on-write forks copy
@@ -42,9 +44,9 @@ class PagedKVCache(KVCache):
 
     Drop-in for :class:`~repro.llm.attention.KVCache`: ``append`` /
     ``append_precompressed`` write through the sequence's block table
-    and return the gathered float32 history, and ``compress`` /
-    ``compression_key`` delegate to the pool's codec so the batched
-    decode path can precompress a whole batch in one call exactly as it
+    and return the gathered history, and ``compress`` /
+    ``compression_key`` delegate to the pool's codec so the flat
+    forward lane can precompress a whole step in one call exactly as it
     does for unpaged caches.
     """
 
@@ -152,7 +154,7 @@ class SequenceKV:
         self.owner: int | None = None
         self.caches = [PagedKVCache(self, layer) for layer in range(pool.n_layers)]
         self._released = False
-        # Per-layer float32 gather scratch: dequantized history prefix
+        # Per-layer gather scratch: dequantized history prefix
         # [0, _deq_len[layer]) lives in _deq_k/_deq_v[layer], shaped
         # (heads, capacity, head_dim) and grown by doubling.
         self._deq_k: list[np.ndarray | None] = [None] * pool.n_layers
@@ -244,7 +246,10 @@ class SequenceKV:
     # -- read path --------------------------------------------------------
 
     def gather(self, layer: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Contiguous float32 ``(1, H, length, hd)`` K/V history.
+        """Contiguous ``(1, H, length, hd)`` K/V history.
+
+        Keys are float32 and values float64, as
+        :meth:`~repro.llm.attention.KVCache.view` returns them.
 
         Incremental: positions below the layer's dequant watermark are
         served straight from the persistent scratch; the tail is
@@ -265,7 +270,7 @@ class SequenceKV:
             )
             shape = (self.pool.keys.shape[2], capacity, self.pool.keys.shape[4])
             k = grow_buffer(k, shape, 1, kept, np.float32)
-            v = grow_buffer(v, shape, 1, kept, np.float32)
+            v = grow_buffer(v, shape, 1, kept, np.float64)
             self._deq_k[layer] = k
             self._deq_v[layer] = v
         if kept < length:
@@ -314,10 +319,10 @@ class SequenceKV:
             v_parts.append(self.pool.values[layer, block, :, :rows])
             remaining -= rows
         keys = np.concatenate(k_parts, axis=1)[None].astype(np.float32)
-        values = np.concatenate(v_parts, axis=1)[None].astype(np.float32)
+        values = np.concatenate(v_parts, axis=1)[None].astype(np.float64)
         scope = active_scope()
-        scope.hot.copy_bytes += (keys.nbytes + values.nbytes) // 2
-        scope.hot.dequant_bytes += keys.nbytes + values.nbytes
+        scope.hot.copy_bytes += keys.nbytes
+        scope.hot.dequant_bytes += 2 * keys.nbytes
         return keys, values
 
     # -- teardown ---------------------------------------------------------

@@ -69,24 +69,19 @@ class StepReport:
             this step (buffer/scratch growth; O(history) per step on
             the reference storage, amortized O(new tokens) on the
             preallocated path).
-        kv_dequant_bytes: host bytes converted float16 -> float32 for
+        kv_dequant_bytes: host bytes dequantized from float16 for
             attention reads this step (the incremental views convert
             only the appended tail).
         attention_dispatches: attention pipeline launches this step —
-            one per per-request core call plus one per grouped bucket.
-            O(layers x batch) per decode step ungrouped, O(layers x
-            buckets) with grouped attention on.
-        attention_grouped_requests: decode requests served through a
-            multi-request bucket this step (summed over layers).
-        attention_padded_reads: wasted KV positions scored by padded
-            buckets this step (per layer group, i.e. divided by
-            n_layers — the unit ``decode_step_traffic`` charges
-            as padded KV reads).
+            one per (layer, request segment).
+        attention_padded_reads: KV positions scored beyond the
+            requests' real histories.  Attention never pads, so this is
+            always 0; the field stays for readers of step reports
+            (``perfbench`` computes its padded-read share from it).
         kv_format_bytes: per-format split of the step's simulated KV
             traffic — ``((format_label, bytes), ...)`` sorted by label,
             where each request's KV reads+writes are attributed to its
-            resolved :class:`~repro.llm.kv_quant.KVFormat` (padded
-            reads belong to no request and are excluded).  Empty when
+            resolved :class:`~repro.llm.kv_quant.KVFormat`.  Empty when
             the step moved no KV bytes.
     """
 
@@ -106,7 +101,6 @@ class StepReport:
     kv_copy_bytes: int = 0
     kv_dequant_bytes: int = 0
     attention_dispatches: int = 0
-    attention_grouped_requests: int = 0
     attention_padded_reads: int = 0
     kv_format_bytes: tuple[tuple[str, float], ...] = ()
 
@@ -132,17 +126,11 @@ class EngineMetrics:
         kv_copy_bytes: total host bytes memcpy'd re-materializing KV
             history (the decode hot path's waste metric — amortized
             O(1) per token on the preallocated storage).
-        kv_dequant_bytes: total host bytes converted float16 ->
-            float32 for attention reads (incremental views convert
-            each stored position once, not once per step).
-        attention_dispatches: total attention pipeline launches —
-            grouped attention's headline metric, dropping from
-            O(layers x batch) to O(layers x buckets) per decode step.
-        attention_grouped_requests: total requests served through
-            multi-request buckets (summed over layers and steps).
-        attention_padded_reads: total wasted KV positions padded
-            buckets scored (per layer group; what the pad-waste cap
-            bounds).
+        kv_dequant_bytes: total host bytes dequantized from float16
+            for attention reads (incremental views convert each stored
+            position once, not once per step).
+        attention_dispatches: total attention pipeline launches, one
+            per (layer, request segment) of every step.
         kv_format_bytes: lifetime per-format split of simulated KV
             traffic, merged across steps (sorted by format label).
         aborted: requests cancelled via ``abort()`` (they release their
@@ -180,8 +168,6 @@ class EngineMetrics:
     kv_copy_bytes: int = 0
     kv_dequant_bytes: int = 0
     attention_dispatches: int = 0
-    attention_grouped_requests: int = 0
-    attention_padded_reads: int = 0
     kv_format_bytes: tuple[tuple[str, float], ...] = ()
     aborted: int = 0
     failed: int = 0
@@ -271,12 +257,6 @@ def summarize(
         kv_copy_bytes=sum(report.kv_copy_bytes for report in reports),
         kv_dequant_bytes=sum(report.kv_dequant_bytes for report in reports),
         attention_dispatches=sum(report.attention_dispatches for report in reports),
-        attention_grouped_requests=sum(
-            report.attention_grouped_requests for report in reports
-        ),
-        attention_padded_reads=sum(
-            report.attention_padded_reads for report in reports
-        ),
         kv_format_bytes=tuple(sorted(format_bytes.items())),
         aborted=aborted,
         failed=failed,

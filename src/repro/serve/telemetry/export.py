@@ -97,22 +97,12 @@ ENGINE_COUNTER_FIELDS: tuple[tuple[str, str, str], ...] = (
     (
         "kv_dequant_bytes",
         "repro_engine_kv_dequant_bytes_total",
-        "Host bytes converted float16 -> float32 for attention reads",
+        "Host bytes dequantized from float16 for attention reads",
     ),
     (
         "attention_dispatches",
         "repro_engine_attention_dispatches_total",
         "Attention pipeline launches",
-    ),
-    (
-        "attention_grouped_requests",
-        "repro_engine_attention_grouped_requests_total",
-        "Decode requests served through multi-request buckets",
-    ),
-    (
-        "attention_padded_reads",
-        "repro_engine_attention_padded_reads_total",
-        "Wasted KV positions scored by padded buckets (per layer group)",
     ),
     (
         "aborted",
@@ -192,7 +182,7 @@ def chrome_trace(
     Tracks are materialized as threads of one process: each distinct
     ``TraceEvent.track`` gets a ``tid`` in order of first appearance,
     named via a ``thread_name`` metadata event so Perfetto shows
-    ``step`` / ``decode.attention`` / ``request 3`` timelines instead
+    ``step`` / ``step.forward`` / ``request 3`` timelines instead
     of bare thread ids.
     """
     pid = 1

@@ -43,7 +43,7 @@ class TraceEvent:
     """One recorded event.
 
     Attributes:
-        name: span or instant name (``step``, ``decode.attention``, a
+        name: span or instant name (``step``, ``forward.codec``, a
             lifecycle status, ...).
         phase: ``"B"`` (span begin), ``"E"`` (span end) or ``"i"``
             (instant) — the Chrome trace-event phases the exporter
@@ -134,7 +134,7 @@ class StepTracer:
     def span(
         self, name: str, *, track: str | None = None, **args: object
     ) -> Iterator[None]:
-        """``with tracer.span("decode.attention", size=...):`` region."""
+        """``with tracer.span("forward.codec", segments=...):`` region."""
         self.begin(name, track=track, **args)
         try:
             yield

@@ -43,6 +43,23 @@ class TestLayers:
         rms = np.sqrt((out**2).mean(axis=-1))
         np.testing.assert_allclose(rms, 1.0, atol=1e-2)
 
+    @pytest.mark.parametrize("norm_cls", [LayerNorm, RMSNorm])
+    @pytest.mark.parametrize("shape", [(1, 1, 128), (1, 37, 128), (16, 1, 160)])
+    def test_ndarray_norm_is_bitwise_equal_to_tensor_path(self, norm_cls, shape):
+        # The inference lanes call norms on plain ndarrays: same op
+        # order in plain numpy, no autograd graph, identical bits.
+        rng = np.random.default_rng(sum(shape))
+        norm = norm_cls(shape[-1])
+        for param in norm.parameters():
+            param.data[...] = rng.normal(size=shape[-1])
+        x = (rng.normal(size=shape) * 4.0 + 1.5).astype(np.float32)
+        with no_grad():
+            expected = norm(Tensor(x)).data
+        actual = norm(x)
+        assert isinstance(actual, np.ndarray)
+        assert actual.dtype == expected.dtype == np.float32
+        assert actual.tobytes() == expected.tobytes()
+
     def test_embedding_range_check(self):
         emb = Embedding(10, 4, np.random.default_rng(3))
         with pytest.raises(ModelError):

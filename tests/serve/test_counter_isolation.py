@@ -39,8 +39,6 @@ DETERMINISTIC_FIELDS = (
     "kv_copy_bytes",
     "kv_dequant_bytes",
     "attention_dispatches",
-    "attention_grouped_requests",
-    "attention_padded_reads",
     "aborted",
 )
 

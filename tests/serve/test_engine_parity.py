@@ -30,6 +30,16 @@ def prompts():
     return [rng.integers(0, 256, size=length) for length in (5, 11, 3, 17)]
 
 
+@pytest.fixture(
+    params=[(5, 11, 3, 17), (7, 7, 7, 10, 9)], ids=["distinct", "shared_lengths"]
+)
+def length_prompts(request):
+    """Prompt sets whose decode rows sit at distinct, or equal and near-equal,
+    KV lengths within one step."""
+    rng = np.random.default_rng(42)
+    return [rng.integers(0, 256, size=length) for length in request.param]
+
+
 def reference(model, prompt, max_new_tokens, kv_mode="fp16", bits=8, **kwargs):
     return generate(
         model,
@@ -42,10 +52,12 @@ def reference(model, prompt, max_new_tokens, kv_mode="fp16", bits=8, **kwargs):
 
 class TestGreedyParity:
     @pytest.mark.parametrize("kv_mode", ["fp16", "anda"])
-    def test_mixed_prompt_lengths_token_identical(self, model, prompts, kv_mode):
+    def test_mixed_prompt_lengths_token_identical(
+        self, model, length_prompts, kv_mode
+    ):
         config = EngineConfig(kv_mode=kv_mode, kv_mantissa_bits=6)
-        results = serve(model, prompts, max_new_tokens=8, config=config)
-        for prompt, result in zip(prompts, results):
+        results = serve(model, length_prompts, max_new_tokens=8, config=config)
+        for prompt, result in zip(length_prompts, results):
             expected = reference(model, prompt, 8, kv_mode=kv_mode, bits=6)
             np.testing.assert_array_equal(result.tokens, expected.tokens)
 
@@ -57,13 +69,13 @@ class TestGreedyParity:
             assert result.continuation().shape[0] == 4
 
     @pytest.mark.parametrize("kv_mode", ["fp16", "anda"])
-    def test_llama_family_rotary_decode_parity(self, prompts, kv_mode):
+    def test_llama_family_rotary_decode_parity(self, length_prompts, kv_mode):
         # LLaMA-style models gather per-request rotary phases in the
         # batched path; untrained weights suffice for token parity.
         llama = build_model(tiny_test_config("llama", d_model=32, n_layers=2))
         config = EngineConfig(kv_mode=kv_mode, kv_mantissa_bits=6)
-        results = serve(llama, prompts, max_new_tokens=8, config=config)
-        for prompt, result in zip(prompts, results):
+        results = serve(llama, length_prompts, max_new_tokens=8, config=config)
+        for prompt, result in zip(length_prompts, results):
             expected = reference(llama, prompt, 8, kv_mode=kv_mode, bits=6)
             np.testing.assert_array_equal(result.tokens, expected.tokens)
 

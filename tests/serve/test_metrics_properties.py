@@ -32,8 +32,6 @@ SUMMED_FIELDS = (
     ("kv_copy_bytes", "kv_copy_bytes"),
     ("kv_dequant_bytes", "kv_dequant_bytes"),
     ("attention_dispatches", "attention_dispatches"),
-    ("attention_grouped_requests", "attention_grouped_requests"),
-    ("attention_padded_reads", "attention_padded_reads"),
 )
 
 counts = st.integers(min_value=0, max_value=10_000)
@@ -71,7 +69,6 @@ step_reports = st.builds(
     kv_copy_bytes=byte_counts,
     kv_dequant_bytes=byte_counts,
     attention_dispatches=counts,
-    attention_grouped_requests=counts,
     attention_padded_reads=counts,
 )
 

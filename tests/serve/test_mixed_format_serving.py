@@ -119,13 +119,10 @@ class TestFormatSplitTelemetry:
         assert all(value > 0 for value in split.values())
 
     def test_split_sums_to_step_kv_traffic_without_padding(self, model, prompts):
-        # With grouped attention off there are no padded reads, so the
-        # per-format attribution covers the KV streams exactly.
+        # Attention never pads, so the per-format attribution covers
+        # the KV streams exactly.
         engine, _ = run_engine(
-            model,
-            prompts,
-            REQUEST_FORMATS,
-            make_config(False, False, grouped_attention=False),
+            model, prompts, REQUEST_FORMATS, make_config(False, False)
         )
         metrics = engine.metrics()
         split_total = sum(dict(metrics.kv_format_bytes).values())

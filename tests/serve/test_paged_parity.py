@@ -36,6 +36,16 @@ def prompts():
     return [rng.integers(0, 256, size=length) for length in (5, 11, 3, 17)]
 
 
+@pytest.fixture(
+    params=[(5, 11, 3, 17), (7, 7, 7, 10, 9)], ids=["distinct", "shared_lengths"]
+)
+def length_prompts(request):
+    """Prompt sets whose decode rows sit at distinct, or equal and near-equal,
+    KV lengths within one step."""
+    rng = np.random.default_rng(42)
+    return [rng.integers(0, 256, size=length) for length in request.param]
+
+
 def paged_config(**overrides):
     defaults = dict(kv_pool=True, kv_pool_blocks=32, kv_block_size=4)
     defaults.update(overrides)
@@ -65,15 +75,17 @@ class TestPagedParity:
         assert_parity(paged, unpaged)
 
     @pytest.mark.parametrize("kv_mode", ["fp16", "anda"])
-    def test_paged_tokens_match_sequential_generate(self, model, prompts, kv_mode):
+    def test_paged_tokens_match_sequential_generate(
+        self, model, length_prompts, kv_mode
+    ):
         results = serve(
             model,
-            prompts,
+            length_prompts,
             max_new_tokens=8,
             config=paged_config(kv_mode=kv_mode, kv_mantissa_bits=6),
         )
         factory = make_cache_factory(model, kv_mode, 6)
-        for prompt, result in zip(prompts, results):
+        for prompt, result in zip(length_prompts, results):
             expected = generate(model, prompt, 8, cache_factory=factory)
             np.testing.assert_array_equal(result.tokens, expected.tokens)
 

@@ -33,6 +33,7 @@ from repro.serve import (
     LLM,
     Engine,
     EngineConfig,
+    KVFormat,
     RequestStatus,
     SamplingParams,
 )
@@ -274,13 +275,13 @@ class TestEngineTracing:
     def test_expected_phase_spans_present(self, model):
         engine, _ = run_traced_engine(model)
         names = {event.name for event in engine.telemetry.tracer.events}
-        assert {"step", "step.schedule", "step.decode_batch", "step.sample"} <= names
+        assert {"step", "step.schedule", "step.forward", "step.sample"} <= names
 
-    def test_grouped_attention_bucket_spans_carry_args(self, model):
-        # Equal-length prompts decode at equal KV lengths, so the
-        # grouped dispatcher forms multi-request buckets — each launch
-        # must appear as a decode.attention span tagged with its shape.
-        engine = Engine(model, traced_config())
+    def test_forward_and_codec_spans_carry_step_shape(self, model):
+        # Every step is one flat forward: a decode-only step shows up as
+        # a step.forward span with no chunks and one row per request,
+        # and Anda KV adds one forward.codec span per layer.
+        engine = Engine(model, traced_config(kv_format=KVFormat.anda(6)))
         llm = LLM(engine=engine)
         rng = np.random.default_rng(5)
         for _ in range(4):
@@ -289,14 +290,19 @@ class TestEngineTracing:
                 SamplingParams(max_new_tokens=5),
             )
         engine.run_until_idle(max_steps=200)
-        buckets = [
-            event
-            for event in engine.telemetry.tracer.events
-            if event.name == "decode.attention" and event.phase == "B"
+        begins = [
+            event for event in engine.telemetry.tracer.events if event.phase == "B"
         ]
-        assert buckets
-        assert all(event.args["size"] >= 2 for event in buckets)
-        assert all(event.args["kv_length"] >= 6 for event in buckets)
+        forwards = [event for event in begins if event.name == "step.forward"]
+        assert any(
+            event.args["chunks"] == 0 and event.args["decodes"] == 4
+            for event in forwards
+        )
+        assert all(
+            event.args["tokens"] >= event.args["decodes"] for event in forwards
+        )
+        codecs = [event for event in begins if event.name == "forward.codec"]
+        assert len(codecs) == len(forwards) * model.config.n_layers
 
     def test_chunked_prefill_emits_chunk_lane_spans(self, model):
         engine = Engine(
@@ -310,8 +316,12 @@ class TestEngineTracing:
             SamplingParams(max_new_tokens=3),
         )
         engine.run_until_idle(max_steps=200)
-        names = {event.name for event in engine.telemetry.tracer.events}
-        assert "step.prefill_chunks" in names
+        forwards = [
+            event
+            for event in engine.telemetry.tracer.events
+            if event.name == "step.forward" and event.phase == "B"
+        ]
+        assert any(event.args["chunks"] == 1 for event in forwards)
 
     def test_disabled_telemetry_records_nothing(self, model):
         engine = Engine(model, EngineConfig(max_batch_size=4))
